@@ -44,10 +44,14 @@ func QuickFig8() Fig8Config {
 	return Fig8Config{Clients: []int{1, 4, 16}, MsgsPer: 40}
 }
 
+// fig8Modes is the presentation order of the three curves; renderers and
+// reports range over it instead of the Curves map so output is stable.
+var fig8Modes = []broadcast.Mode{broadcast.Interpreted, broadcast.InterpretedOpt, broadcast.Compiled}
+
 // Fig8 runs the experiment.
 func Fig8(cfg Fig8Config) Fig8Result {
 	res := Fig8Result{Costs: Calibrate(), Curves: make(map[broadcast.Mode][]Fig8Point)}
-	for _, mode := range []broadcast.Mode{broadcast.Interpreted, broadcast.InterpretedOpt, broadcast.Compiled} {
+	for _, mode := range fig8Modes {
 		for _, n := range cfg.Clients {
 			res.Curves[mode] = append(res.Curves[mode], fig8Run(mode, n, cfg.MsgsPer, res.Costs))
 		}

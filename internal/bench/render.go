@@ -18,7 +18,7 @@ func RenderFig8(w io.Writer, res Fig8Result) {
 	fmt.Fprintf(w, "measured interpreter cost ratios vs compiled: interpreted=%.1fx, optimized=%.1fx\n",
 		res.Costs.MeasuredRatio[broadcast.Interpreted],
 		res.Costs.MeasuredRatio[broadcast.InterpretedOpt])
-	for _, mode := range []broadcast.Mode{broadcast.Interpreted, broadcast.InterpretedOpt, broadcast.Compiled} {
+	for _, mode := range fig8Modes {
 		fmt.Fprintf(w, "\n  %s (per-message cost %v)\n", mode, res.Costs.PerMsg[mode])
 		fmt.Fprintf(w, "  %8s %14s %14s\n", "clients", "msgs/sec", "latency(ms)")
 		for _, p := range res.Curves[mode] {

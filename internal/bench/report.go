@@ -105,9 +105,9 @@ func modeName(m broadcast.Mode) string {
 // ReportFig8 flattens the broadcast-mode sweep.
 func ReportFig8(res Fig8Result, quick bool) *Report {
 	r := NewReport("fig8", quick)
-	for mode, curve := range res.Curves {
+	for _, mode := range fig8Modes {
 		mn := modeName(mode)
-		for _, p := range curve {
+		for _, p := range res.Curves[mode] {
 			r.Add(fmt.Sprintf("fig8.%s.c%d.tput", mn, p.Clients), p.Throughput, "msg/s")
 			r.Add(fmt.Sprintf("fig8.%s.c%d.mean_lat", mn, p.Clients), p.MeanLatMs, "ms")
 		}
