@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"shadowdb/internal/core"
-	"shadowdb/internal/sqldb"
 )
 
 // Ablations for the design choices DESIGN.md calls out: how much of the
@@ -41,12 +40,12 @@ func safeRatio(a, b float64) float64 {
 // proposal.
 func AblationBatching(clients, txPer, rows int) AblationResult {
 	run := func(maxBatch int) float64 {
-		setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
-		sc := newSMRClusterOpts([]string{"h2", "h2", "h2"}, core.BankRegistry(), setup, maxBatch)
+		d := newShadow(shadowSpec{mode: core.ModeSMR, engines: []string{"h2", "h2", "h2"},
+			reg: core.BankRegistry(), setup: bankSetup(rows), batch: maxBatch})
 		stats := &loadStats{}
 		work := func(i int) Workload { return MicroWorkload(rows, int64(i)*101) }
-		shadowClients(sc.clu, stats, clients, txPer, core.ModeSMR, sc.rloc, sc.bloc, 10*time.Second, work)
-		runToFinish(sc.sim, stats, clients)
+		d.clients(stats, clients, txPer, work, shadowSessions(core.ModeSMR, d.rloc, d.bloc, 10*time.Second))
+		d.runClients(stats, clients, 80_000_000)
 		return stats.point(clients).Throughput
 	}
 	return AblationResult{
@@ -68,30 +67,27 @@ func AblationOverlap(rows int) AblationResult {
 			SuspectAfter:   time.Second,
 			ClientRetry:    500 * time.Millisecond,
 		}
-		setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
-		engines := []string{"h2", "h2", "h2", "h2"}[:members+1]
-		sc := newPBRClusterOpts(engines, rows, timing, core.BankRegistry(), setup, false, members)
+		d := newShadow(shadowSpec{mode: core.ModePBR, engines: []string{"h2", "h2", "h2", "h2"}[:members+1],
+			reg: core.BankRegistry(), setup: bankSetup(rows), members: members, timing: timing})
 		stats := &loadStats{}
 		work := func(i int) Workload { return MicroWorkload(rows, int64(i)) }
-		shadowClients(sc.clu, stats, 2, 1<<30, core.ModePBR, sc.rloc, sc.bloc, 500*time.Millisecond, work)
-		sc.sim.After(2*time.Second, func() { sc.clu.Node("r1").Crash() })
+		d.clients(stats, 2, 1<<30, work, shadowSessions(core.ModePBR, d.rloc, d.bloc, 500*time.Millisecond))
+		d.sim.After(2*time.Second, func() { d.clu.Node("r1").Crash() })
 
-		r2 := sc.pbr.Replicas["r2"]
+		r2 := d.pbr.Replicas["r2"]
 		configAt, resumed := -1.0, -1.0
-		var poll func()
-		poll = func() {
+		d.every(0, 5*time.Millisecond, func() bool {
 			if configAt < 0 && r2.ConfigNow().Seq > 0 {
-				configAt = sc.sim.Now().Seconds()
+				configAt = d.sim.Now().Seconds()
 			}
 			if configAt >= 0 && resumed < 0 && r2.IsPrimary() && !r2.Stopped() {
-				resumed = sc.sim.Now().Seconds()
-				return
+				resumed = d.sim.Now().Seconds()
+				return false
 			}
-			sc.sim.After(5*time.Millisecond, poll)
-		}
-		sc.sim.After(0, poll)
-		for resumed < 0 && sc.sim.Steps() < 80_000_000 && !sc.sim.Idle() {
-			sc.sim.Run(0, 100_000)
+			return true
+		})
+		for resumed < 0 && d.sim.Steps() < 80_000_000 && !d.sim.Idle() {
+			d.sim.Run(0, 100_000)
 		}
 		if resumed < 0 || configAt < 0 {
 			return -1

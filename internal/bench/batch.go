@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"shadowdb/internal/broadcast"
-	"shadowdb/internal/des"
-	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 )
 
@@ -91,7 +88,7 @@ func Batch(cfg BatchConfig) BatchResult {
 		DelayMs:  float64(cfg.Delay) / float64(time.Millisecond),
 	}
 	for _, b := range cfg.Batches {
-		p, events, violations := batchRun(cfg, b, res.Costs)
+		p, events, violations := batchRun(cfg, b)
 		res.Points = append(res.Points, p)
 		res.Events += events
 		res.Violations = append(res.Violations, violations...)
@@ -101,108 +98,16 @@ func Batch(cfg BatchConfig) BatchResult {
 
 // batchRun measures one MaxBatch setting on the compiled service with
 // the online checker attached.
-func batchRun(cfg BatchConfig, maxBatch int, costs BcastCosts) (BatchPoint, int64, []dist.Violation) {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
-
-	nodes := []msg.Loc{"b1", "b2", "b3"}
-	var subs []msg.Loc
-	for i := 0; i < cfg.Clients; i++ {
-		subs = append(subs, msg.Loc(fmt.Sprintf("client%d", i)))
-	}
-	bcfg := broadcast.Config{
-		Nodes: nodes, Subscribers: subs,
+func batchRun(cfg BatchConfig, maxBatch int) (BatchPoint, int64, []dist.Violation) {
+	d, stats, slots := broadcastRun(broadcast.Config{
 		MaxBatch: maxBatch, MaxDelay: cfg.Delay, Pipeline: cfg.Pipeline,
+	}, broadcast.Compiled, cfg.Clients, cfg.MsgsPer, cfg.RingSize)
+	cp := stats.point(cfg.Clients)
+	p := BatchPoint{Batch: maxBatch, Throughput: cp.Throughput, MeanLatMs: cp.MeanLatMs, Slots: len(slots.seen)}
+	if len(slots.seen) > 0 {
+		p.MeanBatch = float64(slots.msgs) / float64(len(slots.seen))
 	}
-	gen := broadcast.Spec(bcfg).Generator()
-	per := costs.PerMsg[broadcast.Compiled]
-	for _, b := range nodes {
-		proc := gen(b)
-		clu.AddCostedNode(b, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-			next, outs := proc.Step(env.M)
-			proc = next
-			return outs, bcastCost(per, env.M)
-		})
-	}
-
-	o := obs.New(cfg.RingSize)
-	clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.Watch(o)
-
-	var lat des.LatencyRecorder
-	delivered := 0
-	var lastDone time.Duration
-	// Slot accounting for the mean delivered batch size (the DES is
-	// single-threaded, so shared closure state is safe).
-	slotSeen := make(map[int]bool)
-	slotMsgs := 0
-	for i := 0; i < cfg.Clients; i++ {
-		loc := subs[i]
-		home := nodes[i%len(nodes)]
-		seq := int64(0)
-		sent := 0
-		var started time.Duration
-		submit := func() []msg.Directive {
-			seq++
-			sent++
-			started = sim.Now()
-			return []msg.Directive{msg.Send(home, msg.M(broadcast.HdrBcast, broadcast.Bcast{
-				From: loc, Seq: seq, Payload: pad140(),
-			}))}
-		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			d, ok := env.M.Body.(broadcast.Deliver)
-			if !ok {
-				return nil
-			}
-			if !slotSeen[d.Slot] {
-				slotSeen[d.Slot] = true
-				slotMsgs += len(d.Msgs)
-			}
-			mine := false
-			for _, b := range d.Msgs {
-				if b.From == loc && b.Seq == seq {
-					mine = true
-				}
-			}
-			if !mine {
-				return nil
-			}
-			lat.Add(sim.Now() - started)
-			delivered++
-			lastDone = sim.Now()
-			if sent >= cfg.MsgsPer {
-				return nil
-			}
-			return submit()
-		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.Send(loc, d.Dest, d.M)
-			}
-		})
-	}
-	total := cfg.Clients * cfg.MsgsPer
-	for delivered < total && !sim.Idle() && sim.Steps() < 50_000_000 {
-		sim.Run(0, 100_000)
-	}
-	if lastDone <= 0 {
-		lastDone = time.Second
-	}
-	p := BatchPoint{
-		Batch:      maxBatch,
-		Throughput: des.Throughput(delivered, lastDone),
-		MeanLatMs:  float64(lat.Mean()) / float64(time.Millisecond),
-		Slots:      len(slotSeen),
-	}
-	if len(slotSeen) > 0 {
-		p.MeanBatch = float64(slotMsgs) / float64(len(slotSeen))
-	}
-	return p, checker.Status().Events, checker.Violations()
+	return p, d.checker.Status().Events, d.checker.Violations()
 }
 
 // ReportBatch flattens the sweep for BENCH_batch.json.

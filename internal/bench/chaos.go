@@ -9,9 +9,7 @@ import (
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/sqldb"
 )
 
 // The chaos experiment: a 3-replica PBR deployment under a scripted
@@ -175,30 +173,19 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 		SuspectAfter:   2 * time.Second,
 		ClientRetry:    time.Second,
 	}
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
 	// All three replicas are initial members: the partition must split a
 	// live group, not promote a spare.
-	sc := newPBRClusterTuned([]string{"h2", "hsqldb", "derby"}, cfg.Rows, timing,
-		core.BankRegistry(), setup, false, 3,
-		bcastTune{Batch: cfg.Batch, Delay: cfg.BatchDelay, Pipeline: cfg.Pipeline})
+	d := newShadow(shadowSpec{mode: core.ModePBR, engines: []string{"h2", "hsqldb", "derby"},
+		reg: core.BankRegistry(), setup: bankSetup(cfg.Rows), members: 3, timing: timing,
+		batch: cfg.Batch, batchDelay: cfg.BatchDelay, pipeline: cfg.Pipeline})
+	d.watch(cfg.RingSize)
+	d.arm(cfg.FlightDir, "chaos")
+	inj := d.bindFaults(ChaosPlan(cfg))
 
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "chaos", o, checker,
-		append(append([]msg.Loc{}, sc.rloc...), sc.bloc...))
-
-	inj := fault.BindCluster(sc.clu, ChaosPlan(cfg))
-	inj.SetObs(o)
-
-	stats := &loadStats{}
 	timeline := des.NewTimeline(cfg.Bin)
-	stats.timeline = timeline
+	stats := &loadStats{timeline: timeline}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
-	shadowClients(sc.clu, stats, cfg.Clients, 1<<30, core.ModePBR,
-		sc.rloc, sc.bloc, timing.ClientRetry, work)
+	d.clients(stats, cfg.Clients, 1<<30, work, shadowSessions(core.ModePBR, d.rloc, d.bloc, timing.ClientRetry))
 
 	res := ChaosResult{DetectedAt: -1, ConfigAt: -1, ResumedAt: -1,
 		FailoverLatency: -1, RecoveryTime: -1,
@@ -206,11 +193,10 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 
 	// Sample every replica's protocol state on a 20 ms grid to extract
 	// the partition-failover timeline.
-	var sample func()
-	sample = func() {
-		now := sc.sim.Now()
-		for _, l := range sc.rloc {
-			r := sc.pbr.Replicas[l]
+	d.every(0, 20*time.Millisecond, func() bool {
+		now := d.sim.Now()
+		for _, l := range d.rloc {
+			r := d.pbr.Replicas[l]
 			if res.DetectedAt < 0 && now > cfg.PartitionFrom && r.Stopped() {
 				res.DetectedAt = now
 			}
@@ -222,13 +208,10 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 				res.ResumedAt = now
 			}
 		}
-		if now < cfg.RunFor {
-			sc.sim.After(20*time.Millisecond, sample)
-		}
-	}
-	sc.sim.After(0, sample)
+		return now < cfg.RunFor
+	})
 
-	sc.sim.Run(cfg.RunFor, 500_000_000)
+	d.sim.Run(cfg.RunFor, 500_000_000)
 
 	res.Committed = stats.committed
 	res.Series = timeline.Series()
@@ -246,16 +229,16 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 		}
 	}
 	res.Fingerprint = inj.Fingerprint()
-	res.Events = checker.Status().Events
-	res.Violations = checker.Violations()
+	res.Events = d.checker.Status().Events
+	res.Violations = d.checker.Violations()
 	if res.DetectedAt >= 0 && res.ResumedAt >= 0 {
 		res.FailoverLatency = res.ResumedAt - res.DetectedAt
 	}
 	if res.ResumedAt >= 0 {
 		res.RecoveryTime = res.ResumedAt - cfg.PartitionFrom
 	}
-	for _, l := range sc.rloc {
-		r := sc.pbr.Replicas[l]
+	for _, l := range d.rloc {
+		r := d.pbr.Replicas[l]
 		if r.IsPrimary() && !r.Stopped() {
 			res.Primaries++
 		}
@@ -308,7 +291,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 	// bar (violations are already dumped by the checker hook; failure to
 	// fail over or resume would otherwise leave no bundle behind).
 	if len(res.Violations) > 0 || res.Primaries != 1 || !res.ProgressAfterFaults {
-		dumpFlight("uncertified")
+		d.dump("uncertified")
 	}
 	return res
 }

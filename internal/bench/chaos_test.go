@@ -27,8 +27,8 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 		ClientRetry:    500 * time.Millisecond,
 	}
 	setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
-	sc := newPBRClusterOpts([]string{"h2", "h2", "h2"}, rows, timing,
-		core.BankRegistry(), setup, false, 3)
+	sc := newShadow(shadowSpec{mode: core.ModePBR, engines: []string{"h2", "h2", "h2"},
+		reg: core.BankRegistry(), setup: setup, members: 3, timing: timing})
 
 	o := obs.New(1 << 14)
 	sc.clu.Observe(o)
@@ -49,9 +49,9 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 	inj.SetObs(o)
 
 	stats := &loadStats{}
-	shadowClients(sc.clu, stats, 2, 1<<30, core.ModePBR,
-		sc.rloc, sc.bloc, timing.ClientRetry,
-		func(i int) Workload { return MicroWorkload(rows, int64(i)*7) })
+	sc.clients(stats, 2, 1<<30,
+		func(i int) Workload { return MicroWorkload(rows, int64(i)*7) },
+		shadowSessions(core.ModePBR, sc.rloc, sc.bloc, timing.ClientRetry))
 
 	var beforeCut, atResume int64
 	resumedAt := time.Duration(-1)
@@ -109,8 +109,8 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 func TestSMRBroadcastCrashRestartMidLoad(t *testing.T) {
 	rows := 200
 	clients, txPer := 2, 120
-	sc := newSMRCluster([]string{"h2", "h2", "h2"}, core.BankRegistry(),
-		func(db *sqldb.DB) error { return core.BankSetup(db, rows) })
+	sc := newShadow(shadowSpec{mode: core.ModeSMR, engines: []string{"h2", "h2", "h2"},
+		reg: core.BankRegistry(), setup: func(db *sqldb.DB) error { return core.BankSetup(db, rows) }})
 
 	o := obs.New(1 << 14)
 	sc.clu.Observe(o)
@@ -128,9 +128,9 @@ func TestSMRBroadcastCrashRestartMidLoad(t *testing.T) {
 	inj.SetObs(o)
 
 	stats := &loadStats{}
-	shadowClients(sc.clu, stats, clients, txPer, core.ModeSMR,
-		nil, sc.bloc, time.Second,
-		func(i int) Workload { return MicroWorkload(rows, int64(100+i)) })
+	sc.clients(stats, clients, txPer,
+		func(i int) Workload { return MicroWorkload(rows, int64(100+i)) },
+		shadowSessions(core.ModeSMR, nil, sc.bloc, time.Second))
 
 	for stats.finished < clients && !sc.sim.Idle() && sc.sim.Steps() < 50_000_000 {
 		sc.sim.Run(0, 100_000)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"shadowdb/internal/bench/tpcc"
@@ -76,24 +75,22 @@ func Fig10a(cfg Fig10aConfig) Fig10aResult {
 	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
 	// The paper's diversity deployment: H2 primary, HSQLDB backup, Derby
 	// spare.
-	sc := newPBRCluster([]string{"h2", "hsqldb", "derby"}, cfg.Rows, timing,
-		core.BankRegistry(), setup, false)
+	d := newShadow(shadowSpec{mode: core.ModePBR, engines: []string{"h2", "hsqldb", "derby"},
+		reg: core.BankRegistry(), setup: setup, members: 2, timing: timing})
 
-	stats := &loadStats{}
 	timeline := des.NewTimeline(time.Second)
-	stats.timeline = timeline
+	stats := &loadStats{timeline: timeline}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
-	shadowClients(sc.clu, stats, cfg.Clients, 1<<30, core.ModePBR, sc.rloc, sc.bloc, time.Second, work)
+	d.clients(stats, cfg.Clients, 1<<30, work, shadowSessions(core.ModePBR, d.rloc, d.bloc, time.Second))
 
 	res := Fig10aResult{CrashAt: cfg.CrashAt, SuspectedAt: -1, ConfigAt: -1, ResumedAt: -1}
-	sc.sim.After(cfg.CrashAt, func() { sc.clu.Node("r1").Crash() })
+	d.sim.After(cfg.CrashAt, func() { d.clu.Node("r1").Crash() })
 
 	// Sample the backup's protocol state every 20 ms to extract the
 	// timeline events.
-	r2 := sc.pbr.Replicas["r2"]
-	var sample func()
-	sample = func() {
-		now := sc.sim.Now()
+	r2 := d.pbr.Replicas["r2"]
+	d.every(0, 20*time.Millisecond, func() bool {
+		now := d.sim.Now()
 		if res.SuspectedAt < 0 && now > cfg.CrashAt && r2.Stopped() {
 			res.SuspectedAt = now
 		}
@@ -103,13 +100,10 @@ func Fig10a(cfg Fig10aConfig) Fig10aResult {
 		if res.ConfigAt >= 0 && res.ResumedAt < 0 && r2.IsPrimary() && !r2.Stopped() {
 			res.ResumedAt = now
 		}
-		if now < cfg.RunFor {
-			sc.sim.After(20*time.Millisecond, sample)
-		}
-	}
-	sc.sim.After(0, sample)
+		return now < cfg.RunFor
+	})
 
-	sc.sim.Run(cfg.RunFor, 500_000_000)
+	d.sim.Run(cfg.RunFor, 500_000_000)
 	res.Series = timeline.Series()
 	res.Committed = stats.committed
 	if res.SuspectedAt >= 0 && res.ConfigAt >= 0 {
@@ -214,46 +208,29 @@ func tpccSetupForTransfer(db *sqldb.DB) error {
 // to an empty receiver over the simulated gigabit link, including
 // sender-side serialization and receiver-side insertion costs.
 func measureTransfer(setup func(*sqldb.DB) error) float64 {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
-
-	src, err := sqldb.Open("h2:mem:src")
-	if err != nil {
-		panic(err)
-	}
-	if err := setup(src); err != nil {
-		panic(fmt.Sprintf("bench: transfer setup: %v", err))
-	}
-	dstDB, err := sqldb.Open("h2:mem:dst")
-	if err != nil {
-		panic(err)
-	}
-	receiver := core.NewJoiningSMRReplica("dst", dstDB, core.Registry{})
-	clu.AddCostedProcess("dst", 1, receiver, receiver.LastCost)
+	d := newDeployment()
+	src := openDB("h2", setup)
+	receiver := core.NewJoiningSMRReplica("dst", openDB("h2", nil), core.Registry{})
+	d.host("dst", receiver, func(msg.Msg) time.Duration { return receiver.LastCost() })
 
 	// The sender serializes (service time = serialization cost), then the
 	// batches flow through the link.
-	clu.AddCostedNode("src", 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-		outs, cost := core.SnapshotDirectives(src, "dst", 0, 0, 1, 0)
-		return outs, cost
+	d.clu.AddCostedNode("src", 1, func(des.Envelope) ([]msg.Directive, time.Duration) {
+		return core.SnapshotDirectives(src, "dst", 0, 0, 1, 0)
 	})
-	clu.Inject("src", msg.M("go", nil))
+	d.clu.Inject("src", msg.M("go", nil))
 
 	done := -1.0
-	var poll func()
-	poll = func() {
+	d.every(0, time.Millisecond, func() bool {
 		if receiver.Active() {
-			done = sim.Now().Seconds()
-			return
+			done = d.sim.Now().Seconds()
+			return false
 		}
-		sim.After(time.Millisecond, poll)
-	}
-	sim.After(0, poll)
-	sim.Run(0, 100_000_000)
+		return true
+	})
+	d.sim.Run(0, 100_000_000)
 	if done < 0 {
-		done = sim.Now().Seconds()
+		done = d.sim.Now().Seconds()
 	}
 	return done
 }

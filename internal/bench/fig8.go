@@ -1,13 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"time"
-
-	"shadowdb/internal/broadcast"
-	"shadowdb/internal/des"
-	"shadowdb/internal/msg"
-)
+import "shadowdb/internal/broadcast"
 
 // Fig. 8: "The performance of the broadcast service with Paxos." Clients
 // broadcast 140-byte messages and wait for their delivery notification;
@@ -53,91 +46,14 @@ func Fig8(cfg Fig8Config) Fig8Result {
 	res := Fig8Result{Costs: Calibrate(), Curves: make(map[broadcast.Mode][]Fig8Point)}
 	for _, mode := range fig8Modes {
 		for _, n := range cfg.Clients {
-			res.Curves[mode] = append(res.Curves[mode], fig8Run(mode, n, cfg.MsgsPer, res.Costs))
+			res.Curves[mode] = append(res.Curves[mode], fig8Run(mode, n, cfg.MsgsPer))
 		}
 	}
 	return res
 }
 
-func fig8Run(mode broadcast.Mode, clients, msgsPer int, costs BcastCosts) Fig8Point {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
-
-	nodes := []msg.Loc{"b1", "b2", "b3"}
-	var subs []msg.Loc
-	for i := 0; i < clients; i++ {
-		subs = append(subs, msg.Loc(fmt.Sprintf("client%d", i)))
-	}
-	bcfg := broadcast.Config{Nodes: nodes, Subscribers: subs}
-	gen := broadcast.Spec(bcfg).Generator()
-	per := costs.PerMsg[mode]
-	for _, b := range nodes {
-		proc := gen(b)
-		clu.AddCostedNode(b, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-			next, outs := proc.Step(env.M)
-			proc = next
-			return outs, bcastCost(per, env.M)
-		})
-	}
-
-	var lat des.LatencyRecorder
-	delivered := 0
-	var lastDone time.Duration
-	for i := 0; i < clients; i++ {
-		loc := subs[i]
-		home := nodes[i%len(nodes)]
-		seq := int64(0)
-		sent := 0
-		var started time.Duration
-		submit := func() []msg.Directive {
-			seq++
-			sent++
-			started = sim.Now()
-			return []msg.Directive{msg.Send(home, msg.M(broadcast.HdrBcast, broadcast.Bcast{
-				From: loc, Seq: seq, Payload: pad140(),
-			}))}
-		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			d, ok := env.M.Body.(broadcast.Deliver)
-			if !ok {
-				return nil
-			}
-			mine := false
-			for _, b := range d.Msgs {
-				if b.From == loc && b.Seq == seq {
-					mine = true
-				}
-			}
-			if !mine {
-				return nil
-			}
-			// First notification wins; later copies carry older seqs.
-			lat.Add(sim.Now() - started)
-			delivered++
-			lastDone = sim.Now()
-			if sent >= msgsPer {
-				return nil
-			}
-			return submit()
-		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.Send(loc, d.Dest, d.M)
-			}
-		})
-	}
-	total := clients * msgsPer
-	for delivered < total && !sim.Idle() && sim.Steps() < 50_000_000 {
-		sim.Run(0, 100_000)
-	}
-	if lastDone <= 0 {
-		lastDone = time.Second
-	}
-	return Fig8Point{
-		Clients:    clients,
-		Throughput: des.Throughput(delivered, lastDone),
-		MeanLatMs:  float64(lat.Mean()) / float64(time.Millisecond),
-	}
+func fig8Run(mode broadcast.Mode, clients, msgsPer int) Fig8Point {
+	_, stats, _ := broadcastRun(broadcast.Config{}, mode, clients, msgsPer, 0)
+	p := stats.point(clients)
+	return Fig8Point{Clients: clients, Throughput: p.Throughput, MeanLatMs: p.MeanLatMs}
 }

@@ -6,7 +6,6 @@ import (
 	"shadowdb/internal/baseline"
 	"shadowdb/internal/bench/tpcc"
 	"shadowdb/internal/core"
-	"shadowdb/internal/des"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
@@ -66,9 +65,9 @@ func Fig9a(cfg Fig9Config) Fig9Result {
 	micro := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*7919) }
 	for _, n := range cfg.Clients {
 		res.Curves["ShadowDB-PBR"] = append(res.Curves["ShadowDB-PBR"],
-			runShadowPBR(cfg, n, core.BankRegistry(), setup, micro))
+			runShadow(core.ModePBR, cfg, n, core.BankRegistry(), setup, micro))
 		res.Curves["ShadowDB-SMR"] = append(res.Curves["ShadowDB-SMR"],
-			runShadowSMR(cfg, n, core.BankRegistry(), setup, micro))
+			runShadow(core.ModeSMR, cfg, n, core.BankRegistry(), setup, micro))
 		res.Curves["H2-repl."] = append(res.Curves["H2-repl."],
 			runBaseline(cfg, n, baseline.H2Repl, "h2", core.BankRegistry(), baseline.BankLocks, setup, micro))
 		res.Curves["MySQL-repl."] = append(res.Curves["MySQL-repl."],
@@ -106,9 +105,9 @@ func Fig9b(cfg Fig9Config) Fig9Result {
 	}
 	for _, n := range cfg.Clients {
 		res.Curves["ShadowDB-PBR"] = append(res.Curves["ShadowDB-PBR"],
-			runShadowPBR(cfg, n, reg, setup, work))
+			runShadow(core.ModePBR, cfg, n, reg, setup, work))
 		res.Curves["ShadowDB-SMR"] = append(res.Curves["ShadowDB-SMR"],
-			runShadowSMR(cfg, n, reg, setup, work))
+			runShadow(core.ModeSMR, cfg, n, reg, setup, work))
 		res.Curves["MySQL-repl."] = append(res.Curves["MySQL-repl."],
 			runBaseline(cfg, n, baseline.MySQLRepl, "mysql-innodb", reg, tpcc.Locks, setup, work))
 		res.Curves["H2-stdalone"] = append(res.Curves["H2-stdalone"],
@@ -122,26 +121,18 @@ func Fig9b(cfg Fig9Config) Fig9Result {
 	return res
 }
 
-// runShadowPBR measures one PBR point.
-func runShadowPBR(cfg Fig9Config, clients int, reg core.Registry,
+// runShadow measures one ShadowDB point in mode (PBR or SMR).
+func runShadow(mode core.ClientMode, cfg Fig9Config, clients int, reg core.Registry,
 	setup func(*sqldb.DB) error, work func(int) Workload) CurvePoint {
-	timing := core.DefaultTiming()
-	sc := newPBRCluster([]string{"h2", "h2", "h2"}, cfg.Rows, timing, reg, setup, false)
+	retry := 10 * time.Second
+	if mode == core.ModePBR {
+		retry = 5 * time.Second
+	}
+	d := newShadow(shadowSpec{mode: mode, engines: []string{"h2", "h2", "h2"}, reg: reg, setup: setup,
+		members: 2, timing: core.DefaultTiming()})
 	stats := &loadStats{}
-	shadowClients(sc.clu, stats, clients, cfg.TxPer, core.ModePBR,
-		sc.rloc, sc.bloc, 5*time.Second, work)
-	runToFinish(sc.sim, stats, clients)
-	return stats.point(clients)
-}
-
-// runShadowSMR measures one SMR point.
-func runShadowSMR(cfg Fig9Config, clients int, reg core.Registry,
-	setup func(*sqldb.DB) error, work func(int) Workload) CurvePoint {
-	sc := newSMRCluster([]string{"h2", "h2", "h2"}, reg, setup)
-	stats := &loadStats{}
-	shadowClients(sc.clu, stats, clients, cfg.TxPer, core.ModeSMR,
-		sc.rloc, sc.bloc, 10*time.Second, work)
-	runToFinish(sc.sim, stats, clients)
+	d.clients(stats, clients, cfg.TxPer, work, shadowSessions(mode, d.rloc, d.bloc, retry))
+	d.runClients(stats, clients, 80_000_000)
 	return stats.point(clients)
 }
 
@@ -149,43 +140,23 @@ func runShadowSMR(cfg Fig9Config, clients int, reg core.Registry,
 func runBaseline(cfg Fig9Config, clients int, mode baseline.Mode, engine string,
 	reg core.Registry, locks baseline.LockSpec, setup func(*sqldb.DB) error,
 	work func(int) Workload) CurvePoint {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
-	mk := func(name string) *sqldb.DB {
-		db, err := sqldb.Open(engine + ":mem:" + name)
-		if err != nil {
-			panic(err)
-		}
-		if err := setup(db); err != nil {
-			panic(err)
-		}
-		return db
-	}
+	d := newDeployment()
 	var backupLoc msg.Loc
 	if mode != baseline.Standalone {
 		backupLoc = "backup"
-		baseline.NewServer(sim, clu, baseline.ServerConfig{
-			Name: backupLoc, DB: mk("backup"), Reg: reg, Locks: locks,
+		baseline.NewServer(d.sim, d.clu, baseline.ServerConfig{
+			Name: backupLoc, DB: openDB(engine, setup), Reg: reg, Locks: locks,
 			Mode: baseline.Standalone, LockTimeout: time.Minute,
 		})
 	}
-	baseline.NewServer(sim, clu, baseline.ServerConfig{
-		Name: "primary", DB: mk("primary"), Reg: reg, Locks: locks,
+	baseline.NewServer(d.sim, d.clu, baseline.ServerConfig{
+		Name: "primary", DB: openDB(engine, setup), Reg: reg, Locks: locks,
 		Mode: mode, Backup: backupLoc, LockTimeout: benchLockTimeout,
 	})
 	stats := &loadStats{}
-	directClients(clu, stats, clients, cfg.TxPer, "primary", work)
-	runToFinish(sim, stats, clients)
+	d.clients(stats, clients, cfg.TxPer, work, func(_ int, loc msg.Loc) session {
+		return &directSession{loc: loc, server: "primary"}
+	})
+	d.runClients(stats, clients, 80_000_000)
 	return stats.point(clients)
-}
-
-// runToFinish advances the simulation until every client completed its
-// quota (or the safety bound trips); self-perpetuating timers like
-// heartbeats would otherwise keep the event queue alive forever.
-func runToFinish(sim *des.Sim, stats *loadStats, clients int) {
-	for stats.finished < clients && !sim.Idle() && sim.Steps() < 80_000_000 {
-		sim.Run(0, 100_000)
-	}
 }

@@ -3,15 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
-	"shadowdb/internal/gpm"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
@@ -178,128 +175,12 @@ func (r MembershipResult) Certified() bool {
 		(!r.ReproChecked || r.FingerprintStable)
 }
 
-// membershipCluster is a durable SMR deployment under a shared epoch
-// view: five broadcast service nodes and five replicas exist as
-// processes from the start, but only the charter members (b1-b3,
-// r1-r3) are in epoch 0 — the rest idle until an ordered command
-// admits them.
-type membershipCluster struct {
-	*shadowCluster
-	root    string
-	reg     core.Registry
-	rows    int
-	view    *member.View
-	joiners map[msg.Loc]bool
-	reps    map[msg.Loc]*core.SMRReplica
-	dbs     map[msg.Loc]*sqldb.DB
-	sts     map[msg.Loc]store.Stable
-	gen     map[msg.Loc]int
-	pol     store.SyncPolicy
-}
-
 // membershipInitial is epoch 0: the charter members.
 func membershipInitial() member.Config {
 	return member.Config{
 		Bcast:    []msg.Loc{"b1", "b2", "b3"},
 		Replicas: []msg.Loc{"r1", "r2", "r3"},
 	}
-}
-
-// newMembershipCluster builds the deployment: every service node runs
-// the dynamic-membership broadcast (PaxosDynamic quorums, per-slot
-// fan-out from the view), charter replicas are durable and populated,
-// joiners are durable and empty, waiting for their bootstrap snapshot.
-func newMembershipCluster(cfg MembershipConfig, root string) *membershipCluster {
-	sc := &shadowCluster{
-		sim:   &des.Sim{},
-		bloc:  []msg.Loc{"b1", "b2", "b3", "b4", "b5"},
-		rloc:  []msg.Loc{"r1", "r2", "r3", "r4", "r5"},
-		costs: Calibrate(),
-	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	mc := &membershipCluster{
-		shadowCluster: sc,
-		root:          root,
-		reg:           core.BankRegistry(),
-		rows:          cfg.Rows,
-		view:          member.NewView(membershipInitial(), cfg.Alpha),
-		joiners:       map[msg.Loc]bool{"r4": true, "r5": true},
-		reps:          make(map[msg.Loc]*core.SMRReplica),
-		dbs:           make(map[msg.Loc]*sqldb.DB),
-		sts:           make(map[msg.Loc]store.Stable),
-		gen:           make(map[msg.Loc]int),
-		pol:           cfg.Fsync,
-	}
-	for _, l := range sc.rloc {
-		rep := mc.buildReplica(l, !mc.joiners[l])
-		sc.clu.AddCostedProcess(l, 1, rep, mc.costFn(l))
-	}
-	sc.addBroadcast(broadcast.Config{
-		Nodes:    sc.bloc,
-		Pipeline: cfg.Pipeline,
-		View:     mc.view,
-		Modules:  []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, nil, mc.view)},
-	}, broadcast.Compiled)
-	return mc
-}
-
-func (mc *membershipCluster) costFn(loc msg.Loc) func() time.Duration {
-	return func() time.Duration { return mc.reps[loc].LastCost() + replicaOverhead }
-}
-
-// buildReplica opens loc's store and database and constructs a durable
-// replica over them, attached to the shared epoch view. Charter
-// replicas (populate) are seeded and baseline-snapshotted; joiners
-// start empty and inactive — their first durable baseline is the
-// bootstrap transfer. A rebuilt incarnation of either kind recovers
-// whatever its store holds.
-func (mc *membershipCluster) buildReplica(loc msg.Loc, populate bool) *core.SMRReplica {
-	prov, err := store.NewDir(filepath.Join(mc.root, string(loc)), mc.pol)
-	if err != nil {
-		panic(fmt.Sprintf("bench: membership store: %v", err))
-	}
-	st, err := prov.Open("smr")
-	if err != nil {
-		panic(fmt.Sprintf("bench: membership store: %v", err))
-	}
-	mc.gen[loc]++
-	db, err := sqldb.Open(fmt.Sprintf("h2:mem:%s-g%d", loc, mc.gen[loc]))
-	if err != nil {
-		panic(err)
-	}
-	if populate {
-		if err := core.BankSetup(db, mc.rows); err != nil {
-			panic(err)
-		}
-	}
-	var rep *core.SMRReplica
-	if mc.joiners[loc] {
-		rep, err = core.NewJoiningDurableSMRReplica(loc, db, mc.reg, st, nil)
-	} else {
-		rep, err = core.NewDurableSMRReplica(loc, db, mc.reg, st, nil)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("bench: membership replica %s: %v", loc, err))
-	}
-	rep.SetView(mc.view)
-	mc.reps[loc], mc.dbs[loc], mc.sts[loc] = rep, db, st
-	return rep
-}
-
-// restartReplica rebuilds loc from its data directory — a fresh
-// incarnation over the surviving store — and rebinds it to the node.
-func (mc *membershipCluster) restartReplica(loc msg.Loc) *core.SMRReplica {
-	rep := mc.buildReplica(loc, false)
-	var proc gpm.Process = rep
-	cost := mc.costFn(loc)
-	mc.clu.Node(loc).RebindCosted(func(env des.Envelope) ([]msg.Directive, time.Duration) {
-		next, outs := proc.Step(env.M)
-		proc = next
-		return outs, cost()
-	})
-	return rep
 }
 
 // scheduledChange is one membership command at its proposal time.
@@ -339,189 +220,127 @@ func Membership(cfg MembershipConfig) MembershipResult {
 	return res
 }
 
-// membershipRun is one full run of the experiment.
+// membershipRun is one full run of the experiment. The deployment is
+// durable SMR under one shared epoch view: five broadcast service nodes
+// and five replicas exist as processes from the start, but only the
+// charter members (b1-b3, r1-r3) are in epoch 0 — the rest idle until an
+// ordered command admits them. Every service node runs the
+// dynamic-membership broadcast (PaxosDynamic quorums, per-slot fan-out
+// from the view); joiners r4/r5 start empty, awaiting their bootstrap
+// snapshot.
 func membershipRun(cfg MembershipConfig) MembershipResult {
-	root := cfg.DataDir
-	if root == "" {
-		tmp, err := os.MkdirTemp("", "shadowdb-membership-")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(tmp)
-		root = tmp
-	}
-	mc := newMembershipCluster(cfg, root)
-	sim := mc.sim
+	root, cleanup := tempRoot(cfg.DataDir)
+	defer cleanup()
+	view := member.NewView(membershipInitial(), cfg.Alpha)
+	bloc := []msg.Loc{"b1", "b2", "b3", "b4", "b5"}
+	d := newDurable(durableSpec{
+		root: root, fsync: cfg.Fsync, rows: cfg.Rows,
+		joiners: map[msg.Loc]bool{"r4": true, "r5": true},
+		view:    func() *member.View { return view },
+	}, bloc, []msg.Loc{"r1", "r2", "r3", "r4", "r5"})
+	d.addBroadcast(broadcast.Config{
+		Nodes:    bloc,
+		Pipeline: cfg.Pipeline,
+		View:     view,
+		Modules:  []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, nil, view)},
+	}, broadcast.Compiled)
+	d.watch(cfg.RingSize, func(c *dist.Checker) { c.SetMembership(membershipInitial(), cfg.Alpha) })
+	d.arm(cfg.FlightDir, "membership", "r4", "r5", "b4", "b5")
+	sim := d.sim
 
-	o := obs.New(cfg.RingSize)
-	mc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetMembership(membershipInitial(), cfg.Alpha)
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "membership", o, checker,
-		append(append([]msg.Loc{}, mc.rloc...), mc.bloc...), "r4", "r5", "b4", "b5")
-
-	stats := &loadStats{}
 	timeline := des.NewTimeline(cfg.Bin)
-	stats.timeline = timeline
+	stats := &loadStats{timeline: timeline}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
 	// Clients keep the seed topology: removed service nodes still
 	// forward broadcasts to the sequencer, so a static client config
 	// survives every resize.
-	charterR := []msg.Loc{"r1", "r2", "r3"}
-	charterB := []msg.Loc{"b1", "b2", "b3"}
-	shadowClients(mc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,
-		charterR, charterB, 10*time.Second, work)
+	d.clients(stats, cfg.Clients, cfg.TxPer, work,
+		shadowSessions(core.ModeSMR, membershipInitial().Replicas, membershipInitial().Bcast, 10*time.Second))
 
 	res := MembershipResult{Clients: cfg.Clients, JoinerActiveAt: -1}
 	snapsBefore := obs.C("core.smr.member_snapshots").Value()
 
 	// The admin proposes each membership command through the broadcast
-	// order at its scheduled time — a plain Bcast whose payload every
-	// node folds into the shared epoch schedule at its decided slot.
-	admin := msg.Loc("admin")
-	mc.clu.AddNode(admin, 1, nil, func(des.Envelope) []msg.Directive { return nil })
-	changes := membershipChanges(cfg)
+	// order at its scheduled time.
 	var lastChangeAt time.Duration
-	for i, ch := range changes {
-		seq := int64(i + 1)
-		cmd := ch.Cmd
-		if ch.At > lastChangeAt {
-			lastChangeAt = ch.At
-		}
-		sim.After(ch.At, func() {
-			if cmd.Op == member.AddReplica {
-				// Tell the checker the joiner legitimately enters the
-				// slot order mid-stream.
-				checker.NoteJoin(cmd.Node)
-			}
-			mc.clu.SendAfter(0, admin, mc.bloc[0], msg.M(broadcast.HdrBcast,
-				broadcast.Bcast{From: admin, Seq: seq, Payload: member.EncodeCommand(cmd)}))
-		})
+	for i, ch := range membershipChanges(cfg) {
+		lastChangeAt = max(lastChangeAt, ch.At)
+		d.propose(ch.At, int64(i+1), ch.Cmd)
 	}
 
 	// Sample each joiner until its bootstrap snapshot lands.
-	for j := range mc.joiners {
-		loc := j
-		var poll func()
-		poll = func() {
-			if mc.reps[loc].Active() {
-				if sim.Now() > res.JoinerActiveAt {
-					res.JoinerActiveAt = sim.Now()
-				}
-				return
+	for _, j := range []msg.Loc{"r4", "r5"} {
+		d.every(cfg.GrowAt, 10*time.Millisecond, func() bool {
+			if !d.reps[j].Active() {
+				return true
 			}
-			sim.After(10*time.Millisecond, poll)
-		}
-		sim.After(cfg.GrowAt, poll)
+			res.JoinerActiveAt = max(res.JoinerActiveAt, sim.Now())
+			return false
+		})
 	}
 
 	// The rolling restart: r1 (charter, the bootstrap proposer) then r4
 	// (freshly joined), deterministically expanded into the same crash
 	// schedule every run.
-	recoveredAll := true
 	var rollEnd time.Duration
-	inj := fault.BindProcess(mc.clu, fault.Plan{Rolling: []fault.Rolling{{
+	inj := d.bindProcess(fault.Plan{Rolling: []fault.Rolling{{
 		StartAt:  fault.Duration(cfg.RestartAt),
 		Nodes:    []msg.Loc{"r1", "r4"},
 		Downtime: fault.Duration(cfg.Downtime),
 		Stagger:  fault.Duration(cfg.Stagger),
-	}}}, fault.ProcessHooks{
-		Kill: func(node msg.Loc) {
-			res.Kills++
-			_ = mc.sts[node].Close()
-		},
-		DataDir: func(node msg.Loc) string {
-			return filepath.Join(root, string(node))
-		},
-		Restart: func(node msg.Loc) {
-			res.Restarts++
-			replayBefore := obs.C("store.wal.replays").Value()
-			rep := mc.restartReplica(node)
-			res.Replayed += obs.C("store.wal.replays").Value() - replayBefore
-			if !rep.Recovered() {
-				recoveredAll = false
-			}
-			checker.NoteRestart(node)
-			rollEnd = sim.Now()
-			// Back on the network: ask the current epoch's peers for
-			// the downtime delta (deferred a tick so the send happens
-			// after the node's crash flag clears).
-			sim.After(0, func() {
-				for _, d := range rep.RecoveryDirectives() {
-					mc.clu.SendAfter(d.Delay, node, d.Dest, d.M)
-				}
-			})
-		},
-	})
-	inj.SetObs(o)
+	}}}, procHooks{restarted: func(msg.Loc, *core.SMRReplica) { rollEnd = sim.Now() }})
 
-	runToFinish(sim, stats, cfg.Clients)
+	d.runClients(stats, cfg.Clients, 80_000_000)
 	// Quiesce: let catch-up, final deliveries and the last epoch drain.
 	sim.Run(cfg.Drain, 50_000_000)
 
 	res.Committed = stats.committed
 	res.Aborted = stats.aborted
 	res.Finished = stats.finished
-	res.RecoveredLocally = res.Restarts == 2 && recoveredAll
+	res.Kills, res.Restarts, res.Replayed = d.kills, d.restarts, d.replayed
+	res.RecoveredLocally = res.Restarts == 2 && d.unrecovered == 0
 	res.BootstrapSnapshots = obs.C("core.smr.member_snapshots").Value() - snapsBefore
-	res.Events = checker.Status().Events
-	res.Violations = checker.Violations()
+	res.Events = d.checker.Status().Events
+	res.Violations = d.checker.Violations()
 	res.Fingerprint = inj.Fingerprint()
 
-	epochs := mc.view.Epochs()
+	epochs := view.Epochs()
 	res.Epochs = len(epochs)
 	for _, e := range epochs {
-		if len(e.Replicas) > res.GrewTo {
-			res.GrewTo = len(e.Replicas)
-		}
+		res.GrewTo = max(res.GrewTo, len(e.Replicas))
 	}
 	final := epochs[len(epochs)-1]
 	res.ShrankTo = len(final.Replicas)
 	res.FinalBcast = final.Bcast
 	res.FinalReplicas = final.Replicas
-	res.JoinersActive = mc.reps["r4"].Active() && mc.reps["r5"].Active()
+	res.JoinersActive = d.reps["r4"].Active() && d.reps["r5"].Active()
 
 	// Convergence over the final replica set: frontier parity and
 	// bit-identical state — the joiners must be indistinguishable from
 	// the surviving charter replica.
 	maxSlot := -1
 	for _, l := range final.Replicas {
-		s := mc.reps[l].LastSlot()
+		s := d.reps[l].LastSlot()
 		res.LastSlots = append(res.LastSlots, s)
-		if s > maxSlot {
-			maxSlot = s
-		}
+		maxSlot = max(maxSlot, s)
 	}
 	res.CaughtUp = len(final.Replicas) > 0
 	res.StateEqual = len(final.Replicas) > 0
 	for _, l := range final.Replicas {
-		if mc.reps[l].LastSlot() < maxSlot {
+		if d.reps[l].LastSlot() < maxSlot {
 			res.CaughtUp = false
 		}
-		if !sqldb.Equal(mc.dbs[final.Replicas[0]], mc.dbs[l]) {
+		if !sqldb.Equal(d.dbs[final.Replicas[0]], d.dbs[l]) {
 			res.StateEqual = false
 		}
 	}
 
 	series := timeline.Series()
-	after := func(at time.Duration) bool {
-		if at <= 0 {
-			return false
-		}
-		for b := int(at/cfg.Bin) + 1; b < len(series); b++ {
-			if series[b] > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	res.ProgressAfterChanges = after(lastChangeAt)
-	res.ProgressAfterRestart = after(rollEnd)
+	res.ProgressAfterChanges = lastChangeAt > 0 && progressAfter(series, lastChangeAt, cfg.Bin)
+	res.ProgressAfterRestart = rollEnd > 0 && progressAfter(series, rollEnd, cfg.Bin)
 
 	if !res.Certified() {
-		dumpFlight("uncertified")
+		d.dump("uncertified")
 	}
 	return res
 }

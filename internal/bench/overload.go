@@ -13,7 +13,6 @@ import (
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/sqldb"
 )
 
 // The overload experiment certifies end-to-end overload control
@@ -194,46 +193,18 @@ type overloadPhaseStats struct {
 
 // Overload runs the experiment.
 func Overload(cfg OverloadConfig) OverloadResult {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
-	costs := Calibrate()
-	bloc := []msg.Loc{"b1", "b2", "b3"}
-	rloc := []msg.Loc{"r1", "r2"}
-
-	// The nemesis injector is bound after the nodes exist; cost
-	// closures consult it lazily so the slow-disk window can degrade a
-	// node mid-run without rebinding anything.
-	var inj *fault.Injector
-	slowed := func(loc msg.Loc, c time.Duration) time.Duration {
-		if inj != nil {
-			if f := inj.SlowFactor(loc); f > 1 {
-				c = time.Duration(float64(c) * f)
-			}
-		}
-		return c
+	d := newDeployment()
+	sim, clu := d.sim, d.clu
+	// Intake is priced separately, and the nemesis's slow-disk window
+	// degrades a node mid-run through the injector bound below.
+	d.intake = cfg.IntakeCost
+	for _, l := range []msg.Loc{"r1", "r2"} {
+		d.hostReplica(l, core.NewSMRReplica(l, openDB("h2", bankSetup(cfg.Rows)), core.BankRegistry()))
 	}
-
-	reg := core.BankRegistry()
-	for _, l := range rloc {
-		loc := l
-		db, err := sqldb.Open("h2:mem:overload-" + string(loc))
-		if err != nil {
-			panic(err)
-		}
-		if err := core.BankSetup(db, cfg.Rows); err != nil {
-			panic(err)
-		}
-		rep := core.NewSMRReplica(loc, db, reg)
-		clu.AddCostedProcess(loc, 1, rep, func() time.Duration {
-			return slowed(loc, rep.LastCost()+replicaOverhead)
-		})
-	}
-
 	// Three service nodes order for two replicas: b3 carries no local
 	// subscriber, it only participates in consensus (the 5-node shape).
-	bcfg := broadcast.Config{
+	bloc := []msg.Loc{"b1", "b2", "b3"}
+	d.addBroadcast(broadcast.Config{
 		Nodes:            bloc,
 		LocalSubscribers: map[msg.Loc][]msg.Loc{"b1": {"r1"}, "b2": {"r2"}},
 		MaxBatch:         cfg.MaxBatch,
@@ -241,48 +212,22 @@ func Overload(cfg OverloadConfig) OverloadResult {
 		FlowLimit:        cfg.FlowLimit,
 		Classify:         core.FlowClass,
 		FlowNow:          sim.Now,
-	}
-	gen := broadcast.Spec(bcfg).Generator()
-	per := costs.PerMsg[broadcast.Compiled]
-	for _, b := range bloc {
-		loc := b
-		proc := gen(loc)
-		clu.AddCostedNode(loc, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-			next, outs := proc.Step(env.M)
-			proc = next
-			c := bcastCost(per, env.M)
-			if env.M.Hdr == broadcast.HdrBcast {
-				// Intake (dedup + deadline + admission) is the engineered
-				// cheap path: shedding a request must cost far less than
-				// ordering it, or admission control amplifies the overload
-				// it exists to absorb.
-				c = cfg.IntakeCost
-			}
-			return outs, slowed(loc, c)
-		})
-	}
-
-	o := obs.New(cfg.RingSize)
-	clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetFlow(cfg.FlowLimit)
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "overload", o, checker,
-		append(append([]msg.Loc{}, bloc...), rloc...))
+	}, broadcast.Compiled)
+	d.watch(cfg.RingSize, func(c *dist.Checker) { c.SetFlow(cfg.FlowLimit) })
+	d.arm(cfg.FlightDir, "overload")
+	checker := d.checker
 
 	// The slow-disk window opens SlowAfter into the 16x phase and heals
 	// when the load stops.
 	t16 := 2 * cfg.PhaseDur
 	loadEnd := 3 * cfg.PhaseDur
-	inj = fault.BindCluster(clu, fault.Plan{
+	inj := d.bindFaults(fault.Plan{
 		Seed: cfg.Seed,
 		SlowDisks: []fault.SlowDisk{{
 			At: fault.Duration(t16 + cfg.SlowAfter), Until: fault.Duration(loadEnd),
 			Node: cfg.SlowNode, Factor: cfg.SlowFactor,
 		}},
 	})
-	inj.SetObs(o)
 
 	// Counter baselines (package counters are process-global).
 	admitted0 := obs.C("flow.admitted").Value()
@@ -296,17 +241,13 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	wd := &flow.Watchdog{
 		Rates: rates, Metric: "flow.rejects.sent",
 		Threshold: cfg.WatchThreshold, Windows: cfg.WatchWindows,
-		OnSustained: func(int) { dumpFlight("sustained-overload") },
+		OnSustained: func(int) { d.dump("sustained-overload") },
 	}
-	var wdTick func()
-	wdTick = func() {
+	d.every(cfg.WatchWindow, cfg.WatchWindow, func() bool {
 		rates.Tick()
 		wd.Check()
-		if sim.Now() < loadEnd+cfg.Drain {
-			sim.After(cfg.WatchWindow, wdTick)
-		}
-	}
-	sim.After(cfg.WatchWindow, wdTick)
+		return sim.Now() < loadEnd+cfg.Drain
+	})
 
 	// Phase marks drive the checker's ledger; the trailing "drain" mark
 	// closes the 16x window at loadEnd so goodput rates use the load
@@ -436,7 +377,7 @@ func Overload(cfg OverloadConfig) OverloadResult {
 		res.GoodputRatio = rate[2] / rate[0]
 	}
 	if !res.Certified() {
-		dumpFlight("uncertified")
+		d.dump("uncertified")
 	}
 	return res
 }

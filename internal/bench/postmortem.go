@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -13,7 +12,6 @@ import (
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/bridge"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/sqldb"
 )
 
 // The postmortem experiment: an end-to-end exercise of the flight
@@ -112,10 +110,6 @@ func (r PostmortemResult) Certified() bool {
 
 // Postmortem runs the experiment.
 func Postmortem(cfg PostmortemConfig) (PostmortemResult, error) {
-	// Bundles serialize trace events through the gob wire codec, so every
-	// body type a trace can carry must be registered (idempotent).
-	registerWireTypes()
-
 	res := PostmortemResult{}
 	dir := cfg.Dir
 	if dir == "" {
@@ -145,97 +139,79 @@ func Postmortem(cfg PostmortemConfig) (PostmortemResult, error) {
 	return res, nil
 }
 
-// postmortemCluster builds the experiment's cluster and repoints
-// obs.Default at the run's Obs so package-level loggers land in the same
-// ring the recorders dump. The returned restore func must run before the
-// next run starts.
-func postmortemCluster(cfg PostmortemConfig, recorderOn bool) (*shadowCluster, *obs.Obs, *loadStats, func()) {
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
-	sc := newSMRCluster([]string{"h2", "h2", "h2"}, core.BankRegistry(), setup)
-
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	prev := obs.Default
-	obs.Default = o
-	restore := func() { obs.Default = prev }
-	if recorderOn {
-		o.EnableTracing(true)
-		o.SetLogLevel(obs.LevelDebug)
+// postmortemRun builds the experiment's SMR deployment under load and
+// repoints obs.Default at the run's Obs, so package-level loggers land in
+// the ring the recorders dump; the returned func restores it and must
+// run before the next run starts. recorderOn selects the full flight
+// recorder (debug logging, tracing, rate windows on the virtual clock)
+// or everything off; checked attaches the online checker.
+func postmortemRun(cfg PostmortemConfig, recorderOn, checked bool) (*deployment, *loadStats, *obs.Rates, func()) {
+	d := newShadow(shadowSpec{mode: core.ModeSMR, engines: []string{"h2", "h2", "h2"},
+		reg: core.BankRegistry(), setup: bankSetup(cfg.Rows)})
+	if checked {
+		d.watch(cfg.RingSize)
 	} else {
-		o.SetLogLevel(obs.LevelOff)
+		// The overhead pair measures the recorder alone, without a checker.
+		d.o = obs.New(cfg.RingSize)
+		d.clu.Observe(d.o)
+		d.o.EnableTracing(recorderOn)
 	}
+	prev := obs.Default
+	obs.Default = d.o
+	level := obs.LevelOff
+	if recorderOn {
+		level = obs.LevelDebug
+	}
+	d.o.SetLogLevel(level)
 
 	stats := &loadStats{}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(cfg.Seed)+int64(i)*31337) }
-	shadowClients(sc.clu, stats, cfg.Clients, 1<<30, core.ModeSMR,
-		nil, sc.bloc, 5*time.Second, work)
-	return sc, o, stats, restore
+	d.clients(stats, cfg.Clients, 1<<30, work, shadowSessions(core.ModeSMR, nil, d.bloc, 5*time.Second))
+	var rates *obs.Rates
+	if recorderOn {
+		rates = obs.NewRates(d.o, time.Second, 0)
+		d.every(time.Second, time.Second, func() bool {
+			rates.Tick()
+			return d.sim.Now() < cfg.RunFor
+		})
+	}
+	return d, stats, rates, func() { obs.Default = prev }
 }
 
 // postmortemViolationRun is the instrumented run with the forged
 // delivery: recorders on every node, checker attached, bundle dumps on
 // the violation hook.
 func postmortemViolationRun(cfg PostmortemConfig, dir string, res *PostmortemResult) error {
-	sc, o, stats, restore := postmortemCluster(cfg, true)
+	d, stats, rates, restore := postmortemRun(cfg, true, true)
 	defer restore()
-
-	checker := dist.NewChecker()
-	checker.Watch(o)
-
-	// Rate windows tick on the virtual clock (1 s), so bundles carry
-	// metric deltas without a wall-clock goroutine in the simulation.
-	rates := obs.NewRates(o, time.Second, 0)
-	var tick func()
-	tick = func() {
-		rates.Tick()
-		if sc.sim.Now() < cfg.RunFor {
-			sc.sim.After(time.Second, tick)
-		}
-	}
-	sc.sim.After(time.Second, tick)
 
 	// One recorder per node, every one fed from the run's shared Obs;
 	// Dump filters its node's slice of the log and trace rings.
-	nodes := append(append([]msg.Loc{}, sc.rloc...), sc.bloc...)
-	res.Nodes = len(nodes)
-	recs := make([]*obs.Recorder, 0, len(nodes))
-	for _, n := range nodes {
-		rec, err := obs.NewRecorder(o, filepath.Join(dir, string(n), "flight"), n)
-		if err != nil {
-			return err
-		}
+	d.arm(dir, "postmortem")
+	res.Nodes = len(d.nodes)
+	for _, rec := range d.recs {
 		rec.SetRates(rates)
-		rec.SetCheckerStatus(func() any { return checker.Status() })
-		rec.SetConfig(map[string]string{
-			"experiment": "postmortem",
-			"seed":       fmt.Sprint(cfg.Seed),
-		})
-		recs = append(recs, rec)
+		rec.SetConfig(map[string]string{"experiment": "postmortem", "seed": fmt.Sprint(cfg.Seed)})
 	}
-	checker.OnViolation(func(v dist.Violation) {
-		for _, rec := range recs {
-			_, _ = rec.TryDump("violation-" + v.Property)
-		}
-	})
 
 	// The forgery: a Deliver for slot 0 whose batch no broadcast node
 	// ever ordered, recorded as if r2 received it. Slot 0 delivered long
 	// ago with a different batch, so the checker flags total-order; the
 	// slot is below r2's frontier, so no gap cascade follows.
-	sc.sim.After(cfg.InjectAt, func() {
+	d.sim.After(cfg.InjectAt, func() {
 		forged := msg.M(broadcast.HdrDeliver, broadcast.Deliver{
 			Slot: 0, Msgs: []broadcast.Bcast{{From: "evil", Seq: 1}},
 		})
-		o.Record(obs.Event{
+		d.o.Record(obs.Event{
 			Loc: "r2", Layer: obs.LayerRuntime, Kind: "deliver",
-			Hdr: broadcast.HdrDeliver, Slot: 0, LC: o.Tick(), M: &forged,
+			Hdr: broadcast.HdrDeliver, Slot: 0, LC: d.o.Tick(), M: &forged,
 		})
 	})
 
-	sc.sim.Run(cfg.RunFor, 500_000_000)
+	d.sim.Run(cfg.RunFor, 500_000_000)
 
 	res.Committed = stats.committed
-	res.Violations = checker.Violations()
+	res.Violations = d.checker.Violations()
 	bundles, err := obs.ListBundles(dir)
 	if err != nil {
 		return err
@@ -285,25 +261,12 @@ func postmortemAnalyze(dir string, res *PostmortemResult) error {
 }
 
 // postmortemCleanRun is one un-forged run at the same scale, returning
-// its wall-clock duration. recorderOn selects the full flight recorder
-// (debug logging + tracing + rate windows) or everything off.
+// its wall-clock duration.
 func postmortemCleanRun(cfg PostmortemConfig, recorderOn bool) time.Duration {
-	sc, o, _, restore := postmortemCluster(cfg, recorderOn)
+	d, _, _, restore := postmortemRun(cfg, recorderOn, false)
 	defer restore()
-	var rates *obs.Rates
-	if recorderOn {
-		rates = obs.NewRates(o, time.Second, 0)
-		var tick func()
-		tick = func() {
-			rates.Tick()
-			if sc.sim.Now() < cfg.RunFor {
-				sc.sim.After(time.Second, tick)
-			}
-		}
-		sc.sim.After(time.Second, tick)
-	}
 	start := time.Now()
-	sc.sim.Run(cfg.RunFor, 500_000_000)
+	d.sim.Run(cfg.RunFor, 500_000_000)
 	return time.Since(start)
 }
 

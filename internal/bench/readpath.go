@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -13,7 +11,6 @@ import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
-	"shadowdb/internal/gpm"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
@@ -236,290 +233,105 @@ func readpathInitial() member.Config {
 	}
 }
 
-// readpathCluster is a durable lease-enabled SMR deployment. Unlike the
-// membership experiment's shared view, every replica folds membership
-// commands and renewals from its own delivery stream into its own
-// epoch view — a partitioned replica's view genuinely goes stale.
-type readpathCluster struct {
-	*shadowCluster
-	cfg  ReadPathConfig
-	root string
-	reg  core.Registry
-	reps map[msg.Loc]*core.SMRReplica
-	dbs  map[msg.Loc]*sqldb.DB
-	sts  map[msg.Loc]store.Stable
-	gen  map[msg.Loc]int
-}
-
-func newReadPathCluster(cfg ReadPathConfig, root string) *readpathCluster {
-	sc := &shadowCluster{
-		sim:   &des.Sim{},
-		bloc:  []msg.Loc{"b1", "b2", "b3"},
-		rloc:  []msg.Loc{"r1", "r2", "r3"},
-		costs: Calibrate(),
-	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	rc := &readpathCluster{
-		shadowCluster: sc,
-		cfg:           cfg,
-		root:          root,
-		reg:           core.BankRegistry(),
-		reps:          make(map[msg.Loc]*core.SMRReplica),
-		dbs:           make(map[msg.Loc]*sqldb.DB),
-		sts:           make(map[msg.Loc]store.Stable),
-		gen:           make(map[msg.Loc]int),
-	}
-	for _, l := range sc.rloc {
-		rep := rc.buildReplica(l)
-		sc.clu.AddCostedProcess(l, 1, rep, rc.costFn(l))
-	}
+// newReadPathDeployment builds a durable lease-enabled 3+3 SMR
+// deployment on a fresh data root. Unlike the membership experiment's
+// shared view, every replica folds membership commands and renewals
+// from its own delivery stream into its own epoch view — a partitioned
+// replica's view genuinely goes stale. A rebuilt incarnation recovers
+// state (and its view) from its journal, but its lease state starts
+// empty: leases are volatile by design.
+func newReadPathDeployment(cfg ReadPathConfig, root, label string) *deployment {
+	initial := readpathInitial()
+	d := newDurable(durableSpec{
+		root: root, fsync: cfg.Fsync, rows: cfg.Rows,
+		view:       func() *member.View { return member.NewView(initial, cfg.Alpha) },
+		lease:      core.LeaseConfig{Dur: cfg.LeaseDur, MaxStale: cfg.MaxStale, Bcast: "b1"},
+		groupEvery: cfg.GroupEvery, groupDelay: cfg.GroupDelay,
+	}, initial.Bcast, initial.Replicas)
 	// The broadcast service keeps its own epoch view and a durable
 	// decided-slot journal, so the sequencer's covering fsync (one per
 	// contiguous delivery run) shows up in the WAL counters.
-	bview := member.NewView(readpathInitial(), cfg.Alpha)
-	sc.addBroadcast(broadcast.Config{
-		Nodes:    sc.bloc,
+	bview := member.NewView(initial, cfg.Alpha)
+	d.addBroadcast(broadcast.Config{
+		Nodes:    initial.Bcast,
 		Pipeline: cfg.Pipeline,
 		View:     bview,
-		Stable:   rc.bcastStable(),
+		Stable:   func(loc msg.Loc) store.Stable { return d.openStore(loc, "bcast") },
 		Modules:  []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, nil, bview)},
 	}, broadcast.Compiled)
-	return rc
-}
-
-func (rc *readpathCluster) costFn(loc msg.Loc) func() time.Duration {
-	return func() time.Duration { return rc.reps[loc].LastCost() + replicaOverhead }
-}
-
-func (rc *readpathCluster) bcastStable() func(msg.Loc) store.Stable {
-	return func(loc msg.Loc) store.Stable {
-		prov, err := store.NewDir(filepath.Join(rc.root, string(loc)), rc.cfg.Fsync)
-		if err != nil {
-			panic(fmt.Sprintf("bench: readpath bcast store: %v", err))
-		}
-		st, err := prov.Open("bcast")
-		if err != nil {
-			panic(fmt.Sprintf("bench: readpath bcast store: %v", err))
-		}
-		return st
-	}
-}
-
-// buildReplica opens loc's store and database and constructs a durable,
-// lease-enabled replica over them with its own epoch view. A rebuilt
-// incarnation recovers state (and its view) from its journal, but its
-// lease state starts empty — leases are volatile by design.
-func (rc *readpathCluster) buildReplica(loc msg.Loc) *core.SMRReplica {
-	prov, err := store.NewDir(filepath.Join(rc.root, string(loc)), rc.cfg.Fsync)
-	if err != nil {
-		panic(fmt.Sprintf("bench: readpath store: %v", err))
-	}
-	st, err := prov.Open("smr")
-	if err != nil {
-		panic(fmt.Sprintf("bench: readpath store: %v", err))
-	}
-	rc.gen[loc]++
-	db, err := sqldb.Open(fmt.Sprintf("h2:mem:%s-g%d", loc, rc.gen[loc]))
-	if err != nil {
-		panic(err)
-	}
-	if err := core.BankSetup(db, rc.cfg.Rows); err != nil {
-		panic(err)
-	}
-	rep, err := core.NewDurableSMRReplica(loc, db, rc.reg, st, nil)
-	if err != nil {
-		panic(fmt.Sprintf("bench: readpath replica %s: %v", loc, err))
-	}
-	rep.SetView(member.NewView(readpathInitial(), rc.cfg.Alpha))
-	rep.Executor().Fast = core.BankFastRegistry()
-	rep.EnableLease(core.LeaseConfig{
-		Dur: rc.cfg.LeaseDur, MaxStale: rc.cfg.MaxStale,
-		Bcast: "b1", Now: rc.sim.Now,
-	}, core.BankReadRegistry())
-	if rc.cfg.GroupEvery > 1 {
-		rep.SetGroupCommit(rc.cfg.GroupEvery, rc.cfg.GroupDelay)
-	}
-	rc.reps[loc], rc.dbs[loc], rc.sts[loc] = rep, db, st
-	return rep
-}
-
-// restartReplica rebuilds loc over its surviving store and rebinds it.
-func (rc *readpathCluster) restartReplica(loc msg.Loc) *core.SMRReplica {
-	rep := rc.buildReplica(loc)
-	var proc gpm.Process = rep
-	cost := rc.costFn(loc)
-	rc.clu.Node(loc).RebindCosted(func(env des.Envelope) ([]msg.Directive, time.Duration) {
-		next, outs := proc.Step(env.M)
-		proc = next
-		return outs, cost()
+	d.watch(cfg.RingSize, func(c *dist.Checker) {
+		c.SetMembership(initial, cfg.Alpha)
+		c.SetLease(cfg.LeaseDur, cfg.MaxStale)
 	})
-	return rep
+	d.arm(cfg.FlightDir, "readpath-"+label)
+	return d
 }
 
-// startLeases injects every replica's initial renewal-timer tick.
-func (rc *readpathCluster) startLeases() {
-	for _, l := range rc.rloc {
-		loc := l
-		for _, d := range rc.reps[loc].LeaseDirectives() {
-			rc.clu.SendAfter(d.Delay, loc, d.Dest, d.M)
-		}
-	}
-}
+// readpathPhase runs one measured load phase on a fresh deployment: a
+// closed-loop ReadPct/… read/write mix whose reads are ordered
+// transactions (mode 0) or local reads in mode against target(i),
+// retried on rejection.
+func readpathPhase(cfg ReadPathConfig, label string, mode core.ReadMode, target func(i int) msg.Loc) (ReadPhase, []dist.Violation, int64) {
+	root, cleanup := tempRoot("")
+	defer cleanup()
+	d := newReadPathDeployment(cfg, root, label)
 
-// readMixStats aggregates what the mixed-load fleet observed.
-type readMixStats struct {
-	reads    int64
-	writes   int64
-	readLat  des.LatencyRecorder
-	writeLat des.LatencyRecorder
-	finished int
-	lastDone time.Duration
-}
-
-// readMixClients attaches n closed-loop clients running a ReadPct/…
-// read/write mix. In consensus mode reads are ordered transactions
-// ("balance" through Submit); otherwise they are local reads in the
-// given mode against target(i), retried on rejection.
-func readMixClients(clu *des.Cluster, st *readMixStats, cfg ReadPathConfig,
-	consensus bool, mode core.ReadMode, target func(i int) msg.Loc) []*core.Client {
-	rloc := []msg.Loc{"r1", "r2", "r3"}
-	bloc := []msg.Loc{"b1", "b2", "b3"}
-	clients := make([]*core.Client, cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		loc := msg.Loc(fmt.Sprintf("client%d", i))
-		cli := &core.Client{Slf: loc, Mode: core.ModeSMR, Replicas: rloc, BcastNodes: bloc, Retry: cfg.Retry}
-		clients[i] = cli
+	st := &loadStats{}
+	var clis []*core.Client
+	d.clients(st, cfg.Clients, cfg.OpsPer, func(i int) Workload {
 		rng := rand.New(rand.NewSource(int64(i)*7919 + 17))
-		remaining := cfg.OpsPer
-		var started time.Duration
-		var wasRead bool
-		sim := clu.Sim
-		submit := func() []msg.Directive {
-			started = sim.Now()
-			wasRead = rng.Intn(100) < cfg.ReadPct
-			if !wasRead {
-				return cli.Submit("deposit", []any{int64(rng.Intn(cfg.Rows)), int64(1)})
+		return func() (string, []any) {
+			if rng.Intn(100) >= cfg.ReadPct {
+				return "deposit", []any{int64(rng.Intn(cfg.Rows)), int64(1)}
 			}
-			args := []any{int64(rng.Intn(cfg.Rows))}
-			if consensus {
-				return cli.Submit("balance", args)
-			}
-			return cli.SubmitRead("balance", args, mode, target(i))
+			return "balance", []any{int64(rng.Intn(cfg.Rows))}
 		}
-		done := func(outs []msg.Directive, lat time.Duration) []msg.Directive {
-			if wasRead {
-				st.reads++
-				st.readLat.Add(lat)
-			} else {
-				st.writes++
-				st.writeLat.Add(lat)
-			}
-			st.lastDone = sim.Now()
-			remaining--
-			if remaining <= 0 {
-				st.finished++
-				return outs
-			}
-			return append(outs, submit()...)
+	}, func(i int, loc msg.Loc) session {
+		s := shadowSessions(core.ModeSMR, d.rloc, d.bloc, cfg.Retry)(i, loc).(*txSession)
+		s.read = mode
+		if target != nil {
+			s.target = target(i)
 		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			res, outs := cli.Handle(env.M)
-			if res != nil {
-				return done(outs, sim.Now()-started)
-			}
-			if rr := cli.TakeRead(); rr != nil {
-				lat := sim.Now() - started
-				core.ReleaseReadResult(rr)
-				return done(outs, lat)
-			}
-			return outs
-		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.SendAfter(d.Delay, loc, d.Dest, d.M)
-			}
-		})
-	}
-	return clients
-}
-
-// readpathPhase runs one measured load phase on a fresh cluster.
-func readpathPhase(cfg ReadPathConfig, label string, consensus bool,
-	mode core.ReadMode, target func(i int) msg.Loc) (ReadPhase, []dist.Violation, int64) {
-	root, err := os.MkdirTemp("", "shadowdb-readpath-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(root)
-	rc := newReadPathCluster(cfg, root)
-	sim := rc.sim
-
-	o := obs.New(cfg.RingSize)
-	rc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetMembership(readpathInitial(), cfg.Alpha)
-	checker.SetLease(cfg.LeaseDur, cfg.MaxStale)
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "readpath-"+label, o, checker,
-		append(append([]msg.Loc{}, rc.rloc...), rc.bloc...))
-
-	st := &readMixStats{}
-	clients := readMixClients(rc.clu, st, cfg, consensus, mode, target)
-	rc.startLeases()
+		clis = append(clis, s.cli)
+		return s
+	})
+	d.startLeases()
 
 	// Lease ticks re-arm forever, so the sim never idles: drive on the
 	// fleet's completion with a step-count backstop.
-	for st.finished < cfg.Clients && !sim.Idle() && sim.Steps() < 80_000_000 {
-		sim.Run(0, 100_000)
-	}
-	sim.Run(cfg.Drain, 20_000_000)
+	d.runClients(st, cfg.Clients, 80_000_000)
+	d.sim.Run(cfg.Drain, 20_000_000)
 
+	reads, writes := st.typ("balance"), st.typ("deposit")
 	ph := ReadPhase{
-		Mode: label, Reads: st.reads, Writes: st.writes,
+		Mode: label, Reads: reads.done, Writes: writes.done,
 		Finished: st.finished, Clients: cfg.Clients,
 	}
 	elapsed := st.lastDone
 	if elapsed <= 0 {
 		elapsed = time.Second
 	}
-	ph.ReadsPerSec = des.Throughput(int(st.reads), elapsed)
-	ph.ReadMeanMs = float64(st.readLat.Mean()) / float64(time.Millisecond)
-	ph.ReadP99Ms = float64(st.readLat.Percentile(99)) / float64(time.Millisecond)
-	ph.WriteMeanMs = float64(st.writeLat.Mean()) / float64(time.Millisecond)
-	for _, c := range clients {
+	ph.ReadsPerSec = des.Throughput(int(reads.done), elapsed)
+	ph.ReadMeanMs = float64(reads.lat.Mean()) / float64(time.Millisecond)
+	ph.ReadP99Ms = float64(reads.lat.Percentile(99)) / float64(time.Millisecond)
+	ph.WriteMeanMs = float64(writes.lat.Mean()) / float64(time.Millisecond)
+	for _, c := range clis {
 		ph.Rejected += c.ReadsRejected
 		ph.Retries += c.Retries
 	}
-	vs := checker.Violations()
+	vs := d.checker.Violations()
 	if len(vs) > 0 {
-		dumpFlight("violations")
+		d.dump("violations")
 	}
-	return ph, vs, checker.Status().Events
+	return ph, vs, d.checker.Status().Events
 }
 
 // readpathChaos runs the lease-partition scenario.
 func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
-	root, err := os.MkdirTemp("", "shadowdb-readpath-chaos-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(root)
-	rc := newReadPathCluster(cfg, root)
-	sim := rc.sim
-
-	o := obs.New(cfg.RingSize)
-	rc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetMembership(readpathInitial(), cfg.Alpha)
-	checker.SetLease(cfg.LeaseDur, cfg.MaxStale)
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "readpath-chaos", o, checker,
-		append(append([]msg.Loc{}, rc.rloc...), rc.bloc...))
+	root, cleanup := tempRoot("")
+	defer cleanup()
+	d := newReadPathDeployment(cfg, root, "chaos")
+	sim := d.sim
 
 	ch := ChaosPhase{Clients: cfg.ChaosClients}
 
@@ -527,21 +339,16 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 	// whichever replica holds a valid lease at the time.
 	stats := &loadStats{}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
-	shadowClients(rc.clu, stats, cfg.ChaosClients, cfg.ChaosTx, core.ModeSMR,
-		[]msg.Loc{"r1", "r2", "r3"}, []msg.Loc{"b1", "b2", "b3"}, cfg.Retry, work)
+	d.clients(stats, cfg.ChaosClients, cfg.ChaosTx, work, shadowSessions(core.ModeSMR, d.rloc, d.bloc, cfg.Retry))
 
 	// Probes send lease reads straight to both holders throughout; the
 	// probe node is deliberately NOT in the partition, so the stale
 	// holder stays reachable by clients while cut from the order.
 	probe := msg.Loc("probe")
-	probeUntil := cfg.HealAt
-	if t := cfg.RestartAt + cfg.Downtime; t > probeUntil {
-		probeUntil = t
-	}
-	probeUntil += 500 * time.Millisecond
+	probeUntil := max(cfg.HealAt, cfg.RestartAt+cfg.Downtime) + 500*time.Millisecond
 	var pseq int64
 	targets := make(map[int64]msg.Loc)
-	rc.clu.AddNode(probe, 1, nil, func(env des.Envelope) []msg.Directive {
+	d.clu.AddNode(probe, 1, nil, func(env des.Envelope) []msg.Directive {
 		res, ok := env.M.Body.(*core.ReadResult)
 		if !ok {
 			return nil
@@ -554,9 +361,7 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 			if now > cfg.PartitionAt+time.Millisecond {
 				ch.OldServed++
 			}
-			if now > ch.OldServedLast {
-				ch.OldServedLast = now
-			}
+			ch.OldServedLast = max(ch.OldServedLast, now)
 		case tgt == "r2" && !res.Rejected:
 			ch.NewServed++
 			if ch.HandoverAt == 0 {
@@ -573,36 +378,28 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 		core.ReleaseReadResult(res)
 		return nil
 	})
-	var probeTick func()
-	probeTick = func() {
+	d.every(0, cfg.ProbeEvery, func() bool {
 		if sim.Now() > probeUntil {
-			return
+			return false
 		}
 		for _, tgt := range []msg.Loc{"r1", "r2"} {
 			pseq++
 			targets[pseq] = tgt
-			rc.clu.SendAfter(0, probe, tgt, msg.M(core.HdrRead, core.ReadRequest{
+			d.clu.SendAfter(0, probe, tgt, msg.M(core.HdrRead, core.ReadRequest{
 				Client: probe, Seq: pseq, Type: "balance",
 				Args: []any{int64(1)}, Mode: core.ReadLease,
 			}))
 		}
-		sim.After(cfg.ProbeEvery, probeTick)
-	}
-	sim.After(0, probeTick)
+		return true
+	})
 
 	// The ordered depose: epoch 1 makes r2 the natural holder. The
 	// partitioned r1 never applies it — its lease dies by expiry.
-	admin := msg.Loc("admin")
-	rc.clu.AddNode(admin, 1, nil, func(des.Envelope) []msg.Directive { return nil })
-	sim.After(cfg.DeposeAt, func() {
-		cmd := member.Command{Op: member.RemoveReplica, Node: "r1"}
-		rc.clu.SendAfter(0, admin, "b1", msg.M(broadcast.HdrBcast,
-			broadcast.Bcast{From: admin, Seq: 1, Payload: member.EncodeCommand(cmd)}))
-	})
+	d.propose(cfg.DeposeAt, 1, member.Command{Op: member.RemoveReplica, Node: "r1"})
 
 	// The injection plan: partition r1 from the order (not the probes),
 	// and crash-restart the successor r2 after it has taken over.
-	inj := fault.BindProcess(rc.clu, fault.Plan{
+	inj := d.bindProcess(fault.Plan{
 		Partitions: []fault.Partition{{
 			From: fault.Duration(cfg.PartitionAt), To: fault.Duration(cfg.HealAt),
 			A: []msg.Loc{"r1"}, B: []msg.Loc{"b1", "b2", "b3", "r2", "r3"},
@@ -613,31 +410,10 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 			Nodes:    []msg.Loc{"r2"},
 			Downtime: fault.Duration(cfg.Downtime),
 		}},
-	}, fault.ProcessHooks{
-		Kill: func(node msg.Loc) {
-			ch.Kills++
-			_ = rc.sts[node].Close()
-		},
-		DataDir: func(node msg.Loc) string {
-			return filepath.Join(root, string(node))
-		},
-		Restart: func(node msg.Loc) {
-			ch.Restarts++
-			rep := rc.restartReplica(node)
-			checker.NoteRestart(node)
-			sim.After(0, func() {
-				outs := rep.RecoveryDirectives()
-				outs = append(outs, rep.LeaseDirectives()...)
-				for _, d := range outs {
-					rc.clu.SendAfter(d.Delay, node, d.Dest, d.M)
-				}
-			})
-		},
-	})
-	inj.SetObs(o)
-	rc.startLeases()
+	}, procHooks{})
+	d.startLeases()
 
-	runToFinish(sim, stats, cfg.ChaosClients)
+	d.runClients(stats, cfg.ChaosClients, 80_000_000)
 	// Keep the sim alive through the probe window even if the writers
 	// finished early, then quiesce.
 	if left := probeUntil + 100*time.Millisecond - sim.Now(); left > 0 {
@@ -646,15 +422,16 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 	sim.Run(cfg.Drain, 20_000_000)
 
 	ch.Committed, ch.Aborted, ch.Finished = stats.committed, stats.aborted, stats.finished
+	ch.Kills, ch.Restarts = d.kills, d.restarts
 	ch.OldFenced = ch.OldServedLast > 0 &&
 		ch.OldServedLast <= cfg.PartitionAt+cfg.LeaseDur+5*time.Millisecond
 	ch.Reacquired = ch.ReacquiredAt > 0
 	ch.Fingerprint = inj.Fingerprint()
-	vs := checker.Violations()
+	vs := d.checker.Violations()
 	if len(vs) > 0 || ch.Kills != 1 || ch.Restarts != 1 || !ch.Reacquired {
-		dumpFlight("uncertified")
+		d.dump("uncertified")
 	}
-	return ch, vs, checker.Status().Events
+	return ch, vs, d.checker.Status().Events
 }
 
 // MeasureReadAllocs pins the hot-path allocation budget outside the
@@ -733,7 +510,7 @@ func ReadPath(cfg ReadPathConfig) ReadPathResult {
 
 	var vs []dist.Violation
 	var ev int64
-	res.Consensus, vs, ev = readpathPhase(cfg, "consensus", true, 0, nil)
+	res.Consensus, vs, ev = readpathPhase(cfg, "consensus", 0, nil)
 	res.Violations = append(res.Violations, vs...)
 	res.Events += ev
 
@@ -742,7 +519,7 @@ func ReadPath(cfg ReadPathConfig) ReadPathResult {
 	smrAppends0 := obs.C("core.smr.journal_appends").Value()
 	group0 := obs.C("core.smr.group_syncs").Value()
 	supp0 := obs.C("core.smr.acks_suppressed").Value()
-	res.Lease, vs, ev = readpathPhase(cfg, "lease", false, core.ReadLease,
+	res.Lease, vs, ev = readpathPhase(cfg, "lease", core.ReadLease,
 		func(int) msg.Loc { return "r1" })
 	res.Violations = append(res.Violations, vs...)
 	res.Events += ev
@@ -752,7 +529,7 @@ func ReadPath(cfg ReadPathConfig) ReadPathResult {
 	res.GroupSyncs = obs.C("core.smr.group_syncs").Value() - group0
 	res.AcksSuppressed = obs.C("core.smr.acks_suppressed").Value() - supp0
 
-	res.Follower, vs, ev = readpathPhase(cfg, "follower", false, core.ReadFollower,
+	res.Follower, vs, ev = readpathPhase(cfg, "follower", core.ReadFollower,
 		func(i int) msg.Loc {
 			if i%2 == 0 {
 				return "r2"

@@ -3,17 +3,13 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
-	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
@@ -159,115 +155,11 @@ func (r RecoveryResult) Certified() bool {
 		r.CaughtUp && r.StateEqual
 }
 
-// recoveryCluster is a durable SMR deployment whose replicas can be
-// torn down and rebuilt from their data directories mid-run.
-type recoveryCluster struct {
-	*shadowCluster
-	root string
-	reg  core.Registry
-	rows int
-	// Current incarnation of each replica and its attachments.
-	reps map[msg.Loc]*core.SMRReplica
-	dbs  map[msg.Loc]*sqldb.DB
-	sts  map[msg.Loc]store.Stable
-	gen  map[msg.Loc]int
-	pol  store.SyncPolicy
-}
-
-// newRecoveryCluster builds the 3-replica durable SMR deployment: one
-// broadcast service node per replica (compiled mode), each replica
-// journaling to root/<loc>/smr.
-func newRecoveryCluster(cfg RecoveryConfig, root string) *recoveryCluster {
-	sc := &shadowCluster{
-		sim:   &des.Sim{},
-		bloc:  []msg.Loc{"b1", "b2", "b3"},
-		costs: Calibrate(),
-	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	rc := &recoveryCluster{
-		shadowCluster: sc,
-		root:          root,
-		reg:           core.BankRegistry(),
-		rows:          cfg.Rows,
-		reps:          make(map[msg.Loc]*core.SMRReplica),
-		dbs:           make(map[msg.Loc]*sqldb.DB),
-		sts:           make(map[msg.Loc]store.Stable),
-		gen:           make(map[msg.Loc]int),
-		pol:           cfg.Fsync,
-	}
-	local := make(map[msg.Loc][]msg.Loc, len(sc.bloc))
-	for i, b := range sc.bloc {
-		l := msg.Loc(fmt.Sprintf("r%d", i+1))
-		sc.rloc = append(sc.rloc, l)
-		local[b] = []msg.Loc{l}
-	}
-	for _, l := range sc.rloc {
-		rep := rc.buildReplica(l, true)
-		sc.clu.AddCostedProcess(l, 1, rep, rc.costFn(l))
-	}
-	sc.addBroadcast(broadcast.Config{Nodes: sc.bloc, LocalSubscribers: local}, broadcast.Compiled)
-	return rc
-}
-
-// costFn prices the current incarnation's last step (the engine model
-// plus the fixed replica-layer overhead).
-func (rc *recoveryCluster) costFn(loc msg.Loc) func() time.Duration {
-	return func() time.Duration { return rc.reps[loc].LastCost() + replicaOverhead }
-}
-
-// buildReplica opens loc's store and database and constructs a durable
-// replica over them. With populate set (first boot) the database is
-// seeded before construction, so the baseline snapshot captures the
-// initial rows; a restarted incarnation starts from an empty database
-// and recovers everything from the store.
-func (rc *recoveryCluster) buildReplica(loc msg.Loc, populate bool) *core.SMRReplica {
-	prov, err := store.NewDir(filepath.Join(rc.root, string(loc)), rc.pol)
-	if err != nil {
-		panic(fmt.Sprintf("bench: recovery store: %v", err))
-	}
-	st, err := prov.Open("smr")
-	if err != nil {
-		panic(fmt.Sprintf("bench: recovery store: %v", err))
-	}
-	rc.gen[loc]++
-	db, err := sqldb.Open(fmt.Sprintf("h2:mem:%s-g%d", loc, rc.gen[loc]))
-	if err != nil {
-		panic(err)
-	}
-	if populate {
-		if err := core.BankSetup(db, rc.rows); err != nil {
-			panic(err)
-		}
-	}
-	rep, err := core.NewDurableSMRReplica(loc, db, rc.reg, st, rc.rloc)
-	if err != nil {
-		panic(fmt.Sprintf("bench: recovery replica %s: %v", loc, err))
-	}
-	rc.reps[loc], rc.dbs[loc], rc.sts[loc] = rep, db, st
-	return rep
-}
-
-// restartReplica rebuilds loc from its data directory — a fresh
-// incarnation, empty database and all — and rebinds it to the node.
-func (rc *recoveryCluster) restartReplica(loc msg.Loc) *core.SMRReplica {
-	rep := rc.buildReplica(loc, false)
-	var proc gpm.Process = rep
-	cost := rc.costFn(loc)
-	rc.clu.Node(loc).RebindCosted(func(env des.Envelope) ([]msg.Directive, time.Duration) {
-		next, outs := proc.Step(env.M)
-		proc = next
-		return outs, cost()
-	})
-	return rep
-}
-
 // maxOtherSlot is the highest applied frontier among the replicas other
 // than loc.
-func (rc *recoveryCluster) maxOtherSlot(loc msg.Loc) int {
+func (d *deployment) maxOtherSlot(loc msg.Loc) int {
 	m := -1
-	for l, r := range rc.reps {
+	for l, r := range d.reps {
 		if l != loc && r.LastSlot() > m {
 			m = r.LastSlot()
 		}
@@ -277,32 +169,25 @@ func (rc *recoveryCluster) maxOtherSlot(loc msg.Loc) int {
 
 // Recovery runs the crash-recovery experiment.
 func Recovery(cfg RecoveryConfig) RecoveryResult {
-	root := cfg.DataDir
-	if root == "" {
-		tmp, err := os.MkdirTemp("", "shadowdb-recovery-")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(tmp)
-		root = tmp
+	root, cleanup := tempRoot(cfg.DataDir)
+	defer cleanup()
+	// One broadcast service node (compiled mode) per replica, each
+	// replica journaling to root/<loc>/smr.
+	bloc, rloc := []msg.Loc{"b1", "b2", "b3"}, []msg.Loc{"r1", "r2", "r3"}
+	d := newDurable(durableSpec{root: root, fsync: cfg.Fsync, rows: cfg.Rows, peers: rloc}, bloc, rloc)
+	local := make(map[msg.Loc][]msg.Loc, len(bloc))
+	for i, b := range bloc {
+		local[b] = []msg.Loc{rloc[i]}
 	}
-	rc := newRecoveryCluster(cfg, root)
-	sim := rc.sim
+	d.addBroadcast(broadcast.Config{Nodes: bloc, LocalSubscribers: local}, broadcast.Compiled)
+	d.watch(cfg.RingSize)
+	d.arm(cfg.FlightDir, "recovery")
+	sim := d.sim
 
-	o := obs.New(cfg.RingSize)
-	rc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "recovery", o, checker,
-		append(append([]msg.Loc{}, rc.rloc...), rc.bloc...))
-
-	stats := &loadStats{}
 	timeline := des.NewTimeline(cfg.Bin)
-	stats.timeline = timeline
+	stats := &loadStats{timeline: timeline}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
-	shadowClients(rc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,
-		rc.rloc, rc.bloc, 10*time.Second, work)
+	d.clients(stats, cfg.Clients, cfg.TxPer, work, shadowSessions(core.ModeSMR, rloc, bloc, 10*time.Second))
 
 	res := RecoveryResult{
 		Clients: cfg.Clients, CorruptTail: cfg.CorruptTail,
@@ -312,91 +197,67 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 
 	// Once restarted, sample the victim's frontier on a 10 ms grid until
 	// it reaches the live replicas' maximum — the recovery time.
-	var sampleCatchup func()
-	sampleCatchup = func() {
-		if res.CaughtUpAt >= 0 {
-			return
-		}
-		if rc.reps[victim].LastSlot() >= rc.maxOtherSlot(victim) {
+	catchup := func() bool {
+		if d.reps[victim].LastSlot() >= d.maxOtherSlot(victim) {
 			res.CaughtUpAt = sim.Now()
-			return
+			return false
 		}
-		sim.After(10*time.Millisecond, sampleCatchup)
+		return true
 	}
-
-	inj := fault.BindProcess(rc.clu, fault.Plan{Crashes: []fault.Crash{{
+	inj := d.bindProcess(fault.Plan{Crashes: []fault.Crash{{
 		At:           fault.Duration(cfg.KillAt),
 		Node:         victim,
 		RestartAfter: fault.Duration(cfg.RestartAfter),
 		CorruptTail:  cfg.CorruptTail,
-	}}}, fault.ProcessHooks{
-		Kill: func(node msg.Loc) {
+	}}}, procHooks{
+		killed: func(node msg.Loc) {
 			res.KillAt = sim.Now()
-			res.SlotAtKill = rc.reps[node].LastSlot()
-			_ = rc.sts[node].Close()
+			res.SlotAtKill = d.reps[node].LastSlot()
 		},
-		DataDir: func(node msg.Loc) string {
-			return filepath.Join(root, string(node))
-		},
-		Restart: func(node msg.Loc) {
+		restarted: func(node msg.Loc, rep *core.SMRReplica) {
 			res.RestartAt = sim.Now()
-			replayBefore := obs.C("store.wal.replays").Value()
-			rep := rc.restartReplica(node)
-			res.ReplayedRecords = obs.C("store.wal.replays").Value() - replayBefore
-			res.RecoveredLocally = rep.Recovered()
-			res.SlotsBehind = rc.maxOtherSlot(node) - rep.LastSlot()
-			checker.NoteRestart(node)
-			// Back on the network: ask the peers for the downtime delta.
-			// Deferred a tick so the send happens after the node's crash
-			// flag clears.
-			sim.After(0, func() {
-				for _, d := range rep.RecoveryDirectives() {
-					rc.clu.SendAfter(d.Delay, node, d.Dest, d.M)
-				}
-				sampleCatchup()
-			})
+			res.SlotsBehind = d.maxOtherSlot(node) - rep.LastSlot()
+		},
+		rejoined: func() {
+			if catchup() {
+				d.every(10*time.Millisecond, 10*time.Millisecond, catchup)
+			}
 		},
 	})
-	inj.SetObs(o)
 
-	runToFinish(sim, stats, cfg.Clients)
+	d.runClients(stats, cfg.Clients, 80_000_000)
 	// Quiesce: let in-flight catch-up and final deliveries drain.
 	sim.Run(cfg.Drain, 50_000_000)
 
 	res.Committed = stats.committed
 	res.Aborted = stats.aborted
 	res.Finished = stats.finished
+	res.ReplayedRecords = d.replayed
+	res.RecoveredLocally = d.restarts > 0 && d.unrecovered == 0
 	for _, i := range inj.Injections() {
 		if i.Kind == "corrupt-tail" {
 			res.CorruptTailHit = true
 		}
 	}
-	res.Events = checker.Status().Events
-	res.Violations = checker.Violations()
+	res.Events = d.checker.Status().Events
+	res.Violations = d.checker.Violations()
 
-	for _, l := range rc.rloc {
-		res.LastSlots = append(res.LastSlots, rc.reps[l].LastSlot())
+	for _, l := range rloc {
+		res.LastSlots = append(res.LastSlots, d.reps[l].LastSlot())
 	}
-	res.CaughtUp = rc.reps[victim].LastSlot() >= rc.maxOtherSlot(victim)
+	res.CaughtUp = d.reps[victim].LastSlot() >= d.maxOtherSlot(victim)
 	res.StateEqual = true
-	for _, l := range rc.rloc[1:] {
-		if !sqldb.Equal(rc.dbs[rc.rloc[0]], rc.dbs[l]) {
+	for _, l := range rloc[1:] {
+		if !sqldb.Equal(d.dbs[rloc[0]], d.dbs[l]) {
 			res.StateEqual = false
 		}
 	}
 
 	if res.RestartAt >= 0 {
-		series := timeline.Series()
-		first := int(res.RestartAt / cfg.Bin)
-		for b := first + 1; b < len(series); b++ {
-			if series[b] > 0 {
-				res.ProgressAfterRestart = true
-				break
-			}
-		}
+		res.ProgressAfterRestart = progressAfter(timeline.Series(), res.RestartAt, cfg.Bin)
 	}
 	if !res.Certified() {
-		dumpFlight("uncertified")
+		d.dump("uncertified")
 	}
 	return res
 }

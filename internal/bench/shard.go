@@ -8,10 +8,8 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
-	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
@@ -112,14 +110,12 @@ const routerOverhead = 10 * time.Microsecond
 // broadcast service (compiled-mode cost) with 2 subscriber replicas,
 // fronted by one router.
 type shardCluster struct {
-	sim      *des.Sim
-	clu      *des.Cluster
+	*deployment
 	part     shard.Partitioner
 	router   *shard.Router
 	bloc     [][]msg.Loc // per shard
 	rloc     [][]msg.Loc
 	replicas map[msg.Loc]*shard.Replica
-	allLocs  []msg.Loc
 }
 
 // newShardCluster builds an n-shard deployment. Every shard's replicas
@@ -128,26 +124,16 @@ type shardCluster struct {
 // account).
 func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 	sc := &shardCluster{
-		sim:      &des.Sim{},
-		part:     shard.NewHash(n),
-		replicas: make(map[msg.Loc]*shard.Replica),
+		deployment: newDeployment(),
+		part:       shard.NewHash(n),
+		replicas:   make(map[msg.Loc]*shard.Replica),
 	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	costs := Calibrate()
-	per := costs.PerMsg[broadcast.Compiled]
-	reg := core.BankRegistry()
-
 	for k := 0; k < n; k++ {
 		bloc := []msg.Loc{shard.BcastLoc(k, 0), shard.BcastLoc(k, 1), shard.BcastLoc(k, 2)}
 		rloc := []msg.Loc{shard.ReplicaLoc(k, 0), shard.ReplicaLoc(k, 1)}
 		sc.bloc = append(sc.bloc, bloc)
 		sc.rloc = append(sc.rloc, rloc)
-		sc.allLocs = append(sc.allLocs, bloc...)
-		sc.allLocs = append(sc.allLocs, rloc...)
-
-		bcfg := broadcast.Config{
+		sc.addBroadcast(broadcast.Config{
 			Nodes: bloc,
 			LocalSubscribers: map[msg.Loc][]msg.Loc{
 				bloc[0]: {rloc[0]},
@@ -156,30 +142,11 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 			MaxBatch: cfg.Batch,
 			MaxDelay: cfg.BatchDelay,
 			Pipeline: cfg.Pipeline,
-		}
-		gen := broadcast.Spec(bcfg).Generator()
-		for _, b := range bloc {
-			proc := gen(b)
-			sc.clu.AddCostedNode(b, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-				next, outs := proc.Step(env.M)
-				proc = next
-				return outs, bcastCost(per, env.M)
-			})
-		}
-		for i, l := range rloc {
-			db, err := sqldb.Open("h2:mem:" + string(l))
-			if err != nil {
-				panic(err)
-			}
-			if err := core.BankSetup(db, cfg.Rows); err != nil {
-				panic(err)
-			}
-			r := shard.NewReplica(l, k, db, reg, shard.Bank())
+		}, broadcast.Compiled)
+		for _, l := range rloc {
+			r := shard.NewReplica(l, k, openDB("h2", bankSetup(cfg.Rows)), core.BankRegistry(), shard.Bank())
 			sc.replicas[l] = r
-			sc.clu.AddCostedProcess(l, 1, r, func() time.Duration {
-				return r.LastCost() + replicaOverhead
-			})
-			_ = i
+			sc.hostReplica(l, r)
 		}
 	}
 
@@ -191,78 +158,21 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 		panic(err)
 	}
 	sc.router = rt
-	sc.allLocs = append(sc.allLocs, shard.RouterLoc)
-	sc.clu.AddCostedProcess(shard.RouterLoc, 1, rt, func() time.Duration {
-		return routerOverhead
-	})
+	sc.host(shard.RouterLoc, rt, func(msg.Msg) time.Duration { return routerOverhead })
 	return sc
 }
 
-// shardStats extends loadStats with per-type commit counts (the
-// conservation check needs to know how much money deposits minted).
-type shardStats struct {
-	loadStats
-	depositCommits  int64
-	transferCommits int64
-	transferAborts  int64
+// routerClients attaches the closed-loop fleet that submits through the
+// router.
+func (sc *shardCluster) routerClients(stats *loadStats, n, txPer int, retry time.Duration, work func(i int) Workload) {
+	sc.clients(stats, n, txPer, work, shadowSessions(core.ModePBR, []msg.Loc{shard.RouterLoc}, nil, retry))
 }
 
-// shardClients attaches closed-loop clients that submit through the
-// router and attribute each outcome to the submitted transaction type.
-func shardClients(clu *des.Cluster, stats *shardStats, cfg ShardConfig, n, txPer int,
-	retry time.Duration, mkWork func(i int) Workload) {
-	for i := 0; i < n; i++ {
-		loc := msg.Loc(fmt.Sprintf("client%d", i))
-		cli := &core.Client{
-			Slf: loc, Mode: core.ModePBR,
-			Replicas: []msg.Loc{shard.RouterLoc}, Retry: retry,
-		}
-		work := mkWork(i)
-		remaining := txPer
-		var started time.Duration
-		var lastType string
-		sim := clu.Sim
-		submit := func() []msg.Directive {
-			typ, args := work()
-			lastType = typ
-			started = sim.Now()
-			return cli.Submit(typ, args)
-		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			res, outs := cli.Handle(env.M)
-			if res == nil {
-				return outs
-			}
-			stats.lat.Add(sim.Now() - started)
-			stats.lastDone = sim.Now()
-			if res.Aborted || res.Err != "" {
-				stats.aborted++
-				if lastType == "transfer" {
-					stats.transferAborts++
-				}
-			} else {
-				stats.commit(sim.Now())
-				switch lastType {
-				case "deposit":
-					stats.depositCommits++
-				case "transfer":
-					stats.transferCommits++
-				}
-			}
-			remaining--
-			if remaining <= 0 {
-				stats.finished++
-				return outs
-			}
-			return append(outs, submit()...)
-		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.SendAfter(d.Delay, loc, d.Dest, d.M)
-			}
-		})
-	}
-	_ = cfg
+// watchShards attaches the group-keyed checker and, for dir, the flight
+// recorders.
+func (sc *shardCluster) watchShards(ring int, dir, experiment string) {
+	sc.watch(ring, func(c *dist.Checker) { c.SetGroupOf(shard.GroupOf) })
+	sc.arm(dir, experiment)
 }
 
 // mixedWorkload interleaves zipfian deposits with transfers between two
@@ -372,23 +282,17 @@ func Shard(cfg ShardConfig) ShardResult {
 // with the checker attached.
 func shardSweepPoint(n int, cfg ShardConfig) ShardPoint {
 	sc := newShardCluster(n, cfg)
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetGroupOf(shard.GroupOf)
-	checker.Watch(o)
-
-	stats := &shardStats{}
-	work := func(i int) Workload { return ZipfWorkload(cfg.Rows, int64(i)*7919+1) }
-	shardClients(sc.clu, stats, cfg, cfg.Clients, cfg.TxPer, 2*time.Second, work)
-	runToFinish(sc.sim, &stats.loadStats, cfg.Clients)
+	sc.watchShards(cfg.RingSize, "", "")
+	stats := &loadStats{}
+	sc.routerClients(stats, cfg.Clients, cfg.TxPer, 2*time.Second,
+		func(i int) Workload { return ZipfWorkload(cfg.Rows, int64(i)*7919+1) })
+	sc.runClients(stats, cfg.Clients, 80_000_000)
 
 	cp := stats.point(cfg.Clients)
 	return ShardPoint{
 		Shards: n, Throughput: cp.Throughput,
 		MeanLatMs: cp.MeanLatMs, P99LatMs: cp.P99LatMs,
-		Violations: len(checker.Violations()),
+		Violations: len(sc.checker.Violations()),
 	}
 }
 
@@ -453,34 +357,27 @@ func openPrepares(sc *shardCluster) int {
 // shardMixed is phase 2: the mixed workload on MixedShards shards.
 func shardMixed(cfg ShardConfig, res *ShardResult) {
 	sc := newShardCluster(cfg.MixedShards, cfg)
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetGroupOf(shard.GroupOf)
-	checker.Watch(o)
-	dumpFlight := flightFleet(flightSubdir(cfg.FlightDir, "mixed"), "shard-mixed",
-		o, checker, sc.allLocs)
+	sc.watchShards(cfg.RingSize, flightSubdir(cfg.FlightDir, "mixed"), "shard-mixed")
 
-	stats := &shardStats{}
-	work := func(i int) Workload { return mixedWorkload(cfg.Rows, cfg.CrossFrac, int64(i)*104729+3) }
-	shardClients(sc.clu, stats, cfg, cfg.MixedClients, cfg.MixedTxPer, time.Second, work)
-	runToFinish(sc.sim, &stats.loadStats, cfg.MixedClients)
+	stats := &loadStats{}
+	sc.routerClients(stats, cfg.MixedClients, cfg.MixedTxPer, time.Second,
+		func(i int) Workload { return mixedWorkload(cfg.Rows, cfg.CrossFrac, int64(i)*104729+3) })
+	sc.runClients(stats, cfg.MixedClients, 80_000_000)
 	shardDrain(sc, 2*cfg.Retry+time.Second)
 
 	res.MixedShards = cfg.MixedShards
 	res.MixedCommitted = stats.committed
-	res.TransferCommits = stats.transferCommits
-	res.TransferAborts = stats.transferAborts
-	res.CrossDecided = checker.Status().CrossShard
-	res.MixedOpen = len(checker.OpenCrossShard()) + openPrepares(sc)
+	res.TransferCommits = stats.typ("transfer").committed
+	res.TransferAborts = stats.typ("transfer").aborted
+	res.CrossDecided = sc.checker.Status().CrossShard
+	res.MixedOpen = len(sc.checker.OpenCrossShard()) + openPrepares(sc)
 	res.MixedInFlight = sc.router.InFlight()
-	res.MixedBalanced = balanced(sc, cfg.Rows, stats.depositCommits)
+	res.MixedBalanced = balanced(sc, cfg.Rows, stats.typ("deposit").committed)
 	res.MixedReplicasEq = replicasEqual(sc)
-	res.MixedViolations = checker.Violations()
+	res.MixedViolations = sc.checker.Violations()
 	if len(res.MixedViolations) > 0 || !res.MixedBalanced || !res.MixedReplicasEq ||
 		res.MixedOpen != 0 || res.MixedInFlight != 0 {
-		dumpFlight("uncertified")
+		sc.dump("uncertified")
 	}
 }
 
@@ -489,50 +386,41 @@ func shardMixed(cfg ShardConfig, res *ShardResult) {
 // lose the router, the clients, and shard 0) mid-run, then healed.
 func shardChaos(cfg ShardConfig, res *ShardResult) {
 	sc := newShardCluster(cfg.MixedShards, cfg)
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetGroupOf(shard.GroupOf)
-	checker.Watch(o)
-	dumpFlight := flightFleet(flightSubdir(cfg.FlightDir, "chaos"), "shard-chaos",
-		o, checker, sc.allLocs)
+	sc.watchShards(cfg.RingSize, flightSubdir(cfg.FlightDir, "chaos"), "shard-chaos")
 
 	island := append(append([]msg.Loc{}, sc.bloc[1]...), sc.rloc[1]...)
-	plan := fault.Plan{
+	inj := sc.bindFaults(fault.Plan{
 		Seed: 11,
 		Partitions: []fault.Partition{fault.Isolate(
 			fault.Duration(cfg.PartitionFrom), fault.Duration(cfg.PartitionTo),
-			island, sc.allLocs)},
-	}
-	inj := fault.BindCluster(sc.clu, plan)
-	inj.SetObs(o)
+			island, sc.nodes)},
+	})
 
-	stats := &shardStats{}
-	work := func(i int) Workload { return mixedWorkload(cfg.Rows, cfg.CrossFrac, int64(i)*92821+5) }
-	shardClients(sc.clu, stats, cfg, cfg.MixedClients, cfg.MixedTxPer, 500*time.Millisecond, work)
+	stats := &loadStats{}
+	sc.routerClients(stats, cfg.MixedClients, cfg.MixedTxPer, 500*time.Millisecond,
+		func(i int) Workload { return mixedWorkload(cfg.Rows, cfg.CrossFrac, int64(i)*92821+5) })
 
 	// Run past the heal, then until the fleet finishes or the bound trips.
 	healCommitted := int64(-1)
 	sc.sim.After(cfg.PartitionTo, func() { healCommitted = stats.committed })
-	runToFinish(sc.sim, &stats.loadStats, cfg.MixedClients)
+	sc.runClients(stats, cfg.MixedClients, 80_000_000)
 	shardDrain(sc, 2*cfg.Retry+time.Second)
 
 	res.ChaosCommitted = stats.committed
 	res.ChaosFinished = stats.finished
 	res.ChaosClients = cfg.MixedClients
-	res.ChaosOpen = len(checker.OpenCrossShard()) + openPrepares(sc)
+	res.ChaosOpen = len(sc.checker.OpenCrossShard()) + openPrepares(sc)
 	res.ChaosInFlight = sc.router.InFlight()
-	res.ChaosBalanced = balanced(sc, cfg.Rows, stats.depositCommits)
+	res.ChaosBalanced = balanced(sc, cfg.Rows, stats.typ("deposit").committed)
 	res.ChaosProgress = healCommitted >= 0 && stats.committed > healCommitted
 	res.ChaosInjections = len(inj.Injections())
-	res.ChaosViolations = checker.Violations()
-	res.ChaosTransferOK = stats.transferCommits
-	res.ChaosTransferAbt = stats.transferAborts
+	res.ChaosViolations = sc.checker.Violations()
+	res.ChaosTransferOK = stats.typ("transfer").committed
+	res.ChaosTransferAbt = stats.typ("transfer").aborted
 	if len(res.ChaosViolations) > 0 || !res.ChaosBalanced || !res.ChaosProgress ||
 		res.ChaosOpen != 0 || res.ChaosInFlight != 0 ||
 		res.ChaosFinished != res.ChaosClients {
-		dumpFlight("uncertified")
+		sc.dump("uncertified")
 	}
 }
 

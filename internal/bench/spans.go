@@ -8,7 +8,6 @@ import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/sqldb"
 )
 
 // The spans experiment: run the SMR micro-benchmark on the simulator
@@ -57,25 +56,17 @@ type SpanResult struct {
 
 // Spans runs the experiment.
 func Spans(cfg SpanConfig) SpanResult {
-	sc := newSMRCluster([]string{"h2", "h2", "h2"}, core.BankRegistry(),
-		func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) })
-
+	d := newShadow(shadowSpec{mode: core.ModeSMR, engines: []string{"h2", "h2", "h2"},
+		reg: core.BankRegistry(), setup: bankSetup(cfg.Rows)})
 	// Dedicated Obs on the simulator's virtual clock; the online checker
 	// subscribes to the live stream before any load runs.
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.Watch(o)
+	d.watch(cfg.RingSize)
 
 	stats := &loadStats{}
-	shadowClients(sc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,
-		nil, sc.bloc, 5*time.Second,
-		func(i int) Workload { return MicroWorkload(cfg.Rows, int64(1000+i)) })
-
-	for stats.finished < cfg.Clients && !sc.sim.Idle() && sc.sim.Steps() < 50_000_000 {
-		sc.sim.Run(0, 100_000)
-	}
+	d.clients(stats, cfg.Clients, cfg.TxPer,
+		func(i int) Workload { return MicroWorkload(cfg.Rows, int64(1000+i)) },
+		shadowSessions(core.ModeSMR, nil, d.bloc, 5*time.Second))
+	d.runClients(stats, cfg.Clients, 50_000_000)
 	if stats.finished < cfg.Clients {
 		panic(fmt.Sprintf("bench: spans workload stalled: %d/%d clients finished",
 			stats.finished, cfg.Clients))
@@ -83,14 +74,14 @@ func Spans(cfg SpanConfig) SpanResult {
 
 	// Collect the (single, cluster-wide) ring and rebuild request spans.
 	c := dist.NewCollector()
-	c.Gather(map[string]*obs.Obs{"sim": o})
+	c.Gather(map[string]*obs.Obs{"sim": d.o})
 	r := c.Collect()
 
 	res := SpanResult{
 		Segments:   r.Segments,
 		Spans:      len(r.Spans),
-		Events:     checker.Status().Events,
-		Violations: checker.Violations(),
+		Events:     d.checker.Status().Events,
+		Violations: d.checker.Violations(),
 	}
 	for _, g := range r.Gaps {
 		res.RingGaps += g
