@@ -4,311 +4,259 @@
 //
 // Usage:
 //
-//	bench -experiment fig8|fig9a|fig9b|fig10a|fig10b|table1|batch|spans|chaos|recovery|membership|shard|readpath|postmortem|overload|all [-quick] [-json [-outdir DIR]] [-flight-dir DIR]
+//	bench -experiment table1|fig8|fig9a|fig9b|fig10a|fig10b|ablations|batch|spans|chaos|recovery|membership|shard|readpath|overload|postmortem|all [-quick] [-json [-outdir DIR]] [-flight-dir DIR]
 //
 // With -json each experiment also writes a machine-readable
 // BENCH_<name>.json (metric name/value/unit, git SHA, timestamp) for CI
-// and regression diffing.
+// and regression diffing. Experiments with a certification gate exit 1
+// when it fails.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"shadowdb/internal/bench"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/obs/dist"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	experiment := flag.String("experiment", "all", "fig8|fig9a|fig9b|fig10a|fig10b|table1|batch|spans|chaos|recovery|membership|shard|readpath|postmortem|overload|all")
-	quick := flag.Bool("quick", false, "reduced scales for a fast pass")
-	flightDir := flag.String("flight-dir", "", "directory for flight-recorder postmortem bundles (chaos/recovery/membership/shard dump here on violation; postmortem writes here)")
-	admin := flag.String("admin", "", "admin HTTP address (metrics, pprof) while experiments run")
-	jsonOut := flag.Bool("json", false, "write BENCH_<name>.json per experiment")
-	outdir := flag.String("outdir", ".", "directory for -json reports")
-	flag.Parse()
+// options are the flags every experiment sees.
+type options struct {
+	quick     bool
+	flightDir string
+}
 
-	if *admin != "" {
-		srv, addr, err := obs.Serve(*admin, obs.Default)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s\n", addr)
+// experiment renders its result to w and returns its report, plus an
+// error when its certification gate failed.
+type experiment struct {
+	name string
+	run  func(w io.Writer, o options) (*bench.Report, error)
+}
+
+// pick returns the quick or the default scale of a config.
+func pick[T any](o options, def, quick func() T) T {
+	if o.quick {
+		return quick()
 	}
+	return def()
+}
 
-	todo := map[string]bool{}
-	switch *experiment {
-	case "all":
-		for _, e := range []string{"table1", "fig8", "fig9a", "fig9b", "fig10a", "fig10b", "ablations", "batch", "spans", "chaos", "recovery", "membership", "shard", "readpath", "postmortem", "overload"} {
-			todo[e] = true
-		}
-	case "fig8", "fig9a", "fig9b", "fig10a", "fig10b", "table1", "ablations", "batch", "spans", "chaos", "recovery", "membership", "shard", "readpath", "postmortem", "overload":
-		todo[*experiment] = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
-		return 2
+var errUncertified = errors.New("certification failed")
+
+// certified turns a certification verdict into an experiment error.
+func certified(ok bool) error {
+	if ok {
+		return nil
 	}
+	return errUncertified
+}
 
-	failed := false
-	emit := func(r *bench.Report) {
-		if !*jsonOut {
-			return
-		}
-		path, err := bench.WriteReport(*outdir, r)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
-			return
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+// clean fails an experiment whose online checker flagged violations.
+func clean(vs []dist.Violation) error {
+	if len(vs) == 0 {
+		return nil
 	}
+	return fmt.Errorf("%d property violations", len(vs))
+}
 
-	start := time.Now()
-	out := os.Stdout
-	if todo["table1"] {
+// experiments is every experiment in the order -experiment all runs them.
+var experiments = []experiment{
+	{"table1", func(w io.Writer, o options) (*bench.Report, error) {
 		rows := bench.Table1()
-		bench.RenderTable1(out, rows)
-		fmt.Fprintln(out)
-		emit(bench.ReportTable1(rows, *quick))
-	}
-	if todo["fig8"] {
-		cfg := bench.DefaultFig8()
-		if *quick {
-			cfg = bench.QuickFig8()
-		}
-		res := bench.Fig8(cfg)
-		bench.RenderFig8(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig8(res, *quick))
-	}
-	if todo["fig9a"] {
-		cfg := bench.DefaultFig9a()
-		if *quick {
-			cfg = bench.QuickFig9a()
-		}
-		res := bench.Fig9a(cfg)
-		bench.RenderFig9(out, "Fig. 9(a) — micro-benchmark: latency vs committed transactions/sec", res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig9("fig9a", res, *quick))
-	}
-	if todo["fig9b"] {
-		cfg := bench.DefaultFig9b()
-		if *quick {
-			cfg = bench.QuickFig9b()
-		}
-		res := bench.Fig9b(cfg)
-		bench.RenderFig9(out, "Fig. 9(b) — TPC-C: latency vs committed transactions/sec", res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig9("fig9b", res, *quick))
-	}
-	if todo["fig10a"] {
-		cfg := bench.DefaultFig10a()
-		if *quick {
-			cfg = bench.QuickFig10a()
-		}
-		res := bench.Fig10a(cfg)
-		bench.RenderFig10a(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig10a(res, *quick))
-	}
-	if todo["fig10b"] {
-		cfg := bench.DefaultFig10b()
-		if *quick {
-			cfg = bench.QuickFig10b()
-		}
-		res := bench.Fig10b(cfg)
-		bench.RenderFig10b(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig10b(res, *quick))
-	}
-	if todo["ablations"] {
+		bench.RenderTable1(w, rows)
+		return bench.ReportTable1(rows, o.quick), nil
+	}},
+	{"fig8", func(w io.Writer, o options) (*bench.Report, error) {
+		res := bench.Fig8(pick(o, bench.DefaultFig8, bench.QuickFig8))
+		bench.RenderFig8(w, res)
+		return bench.ReportFig8(res, o.quick), nil
+	}},
+	{"fig9a", func(w io.Writer, o options) (*bench.Report, error) {
+		res := bench.Fig9a(pick(o, bench.DefaultFig9a, bench.QuickFig9a))
+		bench.RenderFig9(w, "Fig. 9(a) — micro-benchmark: latency vs committed transactions/sec", res)
+		return bench.ReportFig9("fig9a", res, o.quick), nil
+	}},
+	{"fig9b", func(w io.Writer, o options) (*bench.Report, error) {
+		res := bench.Fig9b(pick(o, bench.DefaultFig9b, bench.QuickFig9b))
+		bench.RenderFig9(w, "Fig. 9(b) — TPC-C: latency vs committed transactions/sec", res)
+		return bench.ReportFig9("fig9b", res, o.quick), nil
+	}},
+	{"fig10a", func(w io.Writer, o options) (*bench.Report, error) {
+		res := bench.Fig10a(pick(o, bench.DefaultFig10a, bench.QuickFig10a))
+		bench.RenderFig10a(w, res)
+		return bench.ReportFig10a(res, o.quick), nil
+	}},
+	{"fig10b", func(w io.Writer, o options) (*bench.Report, error) {
+		res := bench.Fig10b(pick(o, bench.DefaultFig10b, bench.QuickFig10b))
+		bench.RenderFig10b(w, res)
+		return bench.ReportFig10b(res, o.quick), nil
+	}},
+	{"ablations", func(w io.Writer, o options) (*bench.Report, error) {
 		rows := []bench.AblationResult{
 			bench.AblationBatching(16, 300, 5_000),
 			bench.AblationOverlap(50_000),
 		}
-		bench.RenderAblations(out, rows)
-		fmt.Fprintln(out)
-		emit(bench.ReportAblations(rows, *quick))
-	}
-	if todo["batch"] {
-		cfg := bench.DefaultBatch()
-		if *quick {
-			cfg = bench.QuickBatch()
-		}
-		res := bench.Batch(cfg)
-		bench.RenderBatch(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportBatch(res, *quick))
-		if len(res.Violations) > 0 {
-			fmt.Fprintf(os.Stderr, "batch: %d property violations\n", len(res.Violations))
-			failed = true
-		}
-	}
-	if todo["spans"] {
-		cfg := bench.DefaultSpans()
-		if *quick {
-			cfg = bench.QuickSpans()
-		}
-		res := bench.Spans(cfg)
-		bench.RenderSpans(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportSpans(res, *quick))
-		if len(res.Violations) > 0 {
-			fmt.Fprintf(os.Stderr, "spans: %d property violations\n", len(res.Violations))
-			failed = true
-		}
-	}
-	if todo["chaos"] {
-		cfg := bench.DefaultChaos()
-		if *quick {
-			cfg = bench.QuickChaos()
-		}
-		cfg.FlightDir = *flightDir
+		bench.RenderAblations(w, rows)
+		return bench.ReportAblations(rows, o.quick), nil
+	}},
+	{"batch", func(w io.Writer, o options) (*bench.Report, error) {
+		res := bench.Batch(pick(o, bench.DefaultBatch, bench.QuickBatch))
+		bench.RenderBatch(w, res)
+		return bench.ReportBatch(res, o.quick), clean(res.Violations)
+	}},
+	{"spans", func(w io.Writer, o options) (*bench.Report, error) {
+		res := bench.Spans(pick(o, bench.DefaultSpans, bench.QuickSpans))
+		bench.RenderSpans(w, res)
+		return bench.ReportSpans(res, o.quick), clean(res.Violations)
+	}},
+	{"chaos", func(w io.Writer, o options) (*bench.Report, error) {
+		cfg := pick(o, bench.DefaultChaos, bench.QuickChaos)
+		cfg.FlightDir = o.flightDir
 		res := bench.Chaos(cfg)
-		bench.RenderChaos(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportChaos(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"chaos: certification failed: %d violations, reproducible=%v, primaries=%d, progress=%v\n",
-				len(res.Violations), res.Reproducible, res.Primaries, res.ProgressAfterFaults)
-			failed = true
-		}
-	}
-	if todo["recovery"] {
-		cfg := bench.DefaultRecovery()
-		if *quick {
-			cfg = bench.QuickRecovery()
-		}
-		cfg.FlightDir = *flightDir
+		bench.RenderChaos(w, res)
+		return bench.ReportChaos(res, o.quick), certified(res.Certified())
+	}},
+	{"recovery", func(w io.Writer, o options) (*bench.Report, error) {
+		cfg := pick(o, bench.DefaultRecovery, bench.QuickRecovery)
+		cfg.FlightDir = o.flightDir
 		res := bench.Recovery(cfg)
-		bench.RenderRecovery(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportRecovery(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"recovery: certification failed: %d violations, recovered=%v, caught_up=%v, state_equal=%v, progress=%v, finished=%d/%d\n",
-				len(res.Violations), res.RecoveredLocally, res.CaughtUp,
-				res.StateEqual, res.ProgressAfterRestart, res.Finished, res.Clients)
-			failed = true
-		}
-	}
-	if todo["membership"] {
-		cfg := bench.DefaultMembership()
-		if *quick {
-			cfg = bench.QuickMembership()
-		}
-		cfg.FlightDir = *flightDir
+		bench.RenderRecovery(w, res)
+		return bench.ReportRecovery(res, o.quick), certified(res.Certified())
+	}},
+	{"membership", func(w io.Writer, o options) (*bench.Report, error) {
+		cfg := pick(o, bench.DefaultMembership, bench.QuickMembership)
+		cfg.FlightDir = o.flightDir
 		res := bench.Membership(cfg)
-		bench.RenderMembership(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportMembership(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"membership: certification failed: %d violations, epochs=%d, grew=%d, shrank=%d, joiners=%v, restarts=%d/%d recovered=%v, caught_up=%v, state_equal=%v, progress=%v/%v, finished=%d/%d, repro=%v\n",
-				len(res.Violations), res.Epochs, res.GrewTo, res.ShrankTo,
-				res.JoinersActive, res.Kills, res.Restarts, res.RecoveredLocally,
-				res.CaughtUp, res.StateEqual,
-				res.ProgressAfterChanges, res.ProgressAfterRestart,
-				res.Finished, res.Clients, !res.ReproChecked || res.FingerprintStable)
-			failed = true
-		}
-	}
-	if todo["shard"] {
-		cfg := bench.DefaultShard()
-		if *quick {
-			cfg = bench.QuickShard()
-		}
-		cfg.FlightDir = *flightDir
+		bench.RenderMembership(w, res)
+		return bench.ReportMembership(res, o.quick), certified(res.Certified())
+	}},
+	{"shard", func(w io.Writer, o options) (*bench.Report, error) {
+		cfg := pick(o, bench.DefaultShard, bench.QuickShard)
+		cfg.FlightDir = o.flightDir
 		res := bench.Shard(cfg)
-		bench.RenderShard(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportShard(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"shard: certification failed: speedup=%.2f, mixed(viol=%d open=%d inflight=%d balanced=%v eq=%v), chaos(viol=%d open=%d inflight=%d balanced=%v progress=%v finished=%d/%d)\n",
-				res.Speedup4, len(res.MixedViolations), res.MixedOpen, res.MixedInFlight,
-				res.MixedBalanced, res.MixedReplicasEq,
-				len(res.ChaosViolations), res.ChaosOpen, res.ChaosInFlight,
-				res.ChaosBalanced, res.ChaosProgress, res.ChaosFinished, res.ChaosClients)
-			failed = true
-		}
-	}
-	if todo["readpath"] {
-		cfg := bench.DefaultReadPath()
-		if *quick {
-			cfg = bench.QuickReadPath()
-		}
-		cfg.FlightDir = *flightDir
+		bench.RenderShard(w, res)
+		return bench.ReportShard(res, o.quick), certified(res.Certified())
+	}},
+	{"readpath", func(w io.Writer, o options) (*bench.Report, error) {
+		cfg := pick(o, bench.DefaultReadPath, bench.QuickReadPath)
+		cfg.FlightDir = o.flightDir
 		res := bench.ReadPath(cfg)
-		bench.RenderReadPath(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportReadPath(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"readpath: certification failed: %d violations, serve_allocs=%.1f, speedup=%.2f, group_syncs=%d/%d replica appends, chaos(old_served=%d fenced=%v new_served=%d reacquired=%v finished=%d/%d)\n",
-				len(res.Violations), res.ServeAllocs, res.Speedup,
-				res.GroupSyncs, res.SMRAppends,
-				res.Chaos.OldServed, res.Chaos.OldFenced, res.Chaos.NewServed,
-				res.Chaos.Reacquired, res.Chaos.Finished, res.Chaos.Clients)
-			failed = true
-		}
-	}
-	if todo["overload"] {
-		cfg := bench.DefaultOverload()
-		if *quick {
-			cfg = bench.QuickOverload()
-		}
-		cfg.FlightDir = *flightDir
+		bench.RenderReadPath(w, res)
+		return bench.ReportReadPath(res, o.quick), certified(res.Certified())
+	}},
+	{"overload", func(w io.Writer, o options) (*bench.Report, error) {
+		cfg := pick(o, bench.DefaultOverload, bench.QuickOverload)
+		cfg.FlightDir = o.flightDir
 		res := bench.Overload(cfg)
-		bench.RenderOverload(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportOverload(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"overload: certification failed: %d violations, goodput_ratio=%.2f (floor %.2f), watchdog=%v, open_flows=%d\n",
-				len(res.Violations), res.GoodputRatio, res.FloorWant, res.WatchdogFired, res.OpenFlows)
-			failed = true
-		}
-	}
-	if todo["postmortem"] {
-		cfg := bench.DefaultPostmortem()
-		if *quick {
-			cfg = bench.QuickPostmortem()
-		}
+		bench.RenderOverload(w, res)
+		return bench.ReportOverload(res, o.quick), certified(res.Certified())
+	}},
+	{"postmortem", func(w io.Writer, o options) (*bench.Report, error) {
+		cfg := pick(o, bench.DefaultPostmortem, bench.QuickPostmortem)
 		// Scoped under its own subdirectory: with -experiment all the
 		// other experiments' evidence shares the same root, and the
 		// postmortem analysis must only see its own bundles.
-		if *flightDir != "" {
-			cfg.Dir = filepath.Join(*flightDir, "postmortem")
+		if o.flightDir != "" {
+			cfg.Dir = filepath.Join(o.flightDir, "postmortem")
 		}
 		res, err := bench.Postmortem(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "postmortem: %v\n", err)
-			failed = true
-		} else {
-			bench.RenderPostmortem(out, res)
-			fmt.Fprintln(out)
-			emit(bench.ReportPostmortem(res, *quick))
-			if !res.Certified() {
-				fmt.Fprintf(os.Stderr,
-					"postmortem: certification failed: %d violations, bundles=%d/%d, ordered=%v, forged=%v, replay=%v\n",
-					len(res.Violations), len(res.Bundles), res.Nodes,
-					res.TimelineOrdered, res.ForgedInTimeline, res.ReplayDetected)
-				failed = true
-			}
+			return nil, err
+		}
+		bench.RenderPostmortem(w, res)
+		return bench.ReportPostmortem(res, o.quick), certified(res.Certified())
+	}},
+}
+
+// usage lists the accepted -experiment values.
+func usage() string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
+// selectExperiments returns the experiments name stands for (nil when
+// unknown).
+func selectExperiments(name string) []experiment {
+	if name == "all" {
+		return experiments
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return []experiment{e}
 		}
 	}
-	fmt.Fprintf(out, "total bench time: %v\n", time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// run executes the command line args and returns the exit code: 0 on
+// success, 1 when an experiment failed, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", usage())
+	quick := fs.Bool("quick", false, "reduced scales for a fast pass")
+	flightDir := fs.String("flight-dir", "", "directory for flight-recorder postmortem bundles (chaos/recovery/membership/shard/readpath/overload dump here on violation; postmortem writes here)")
+	admin := fs.String("admin", "", "admin HTTP address (metrics, pprof) while experiments run")
+	jsonOut := fs.Bool("json", false, "write BENCH_<name>.json per experiment")
+	outdir := fs.String("outdir", ".", "directory for -json reports")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	todo := selectExperiments(*experiment)
+	if todo == nil {
+		fmt.Fprintf(stderr, "unknown experiment %q (want %s)\n", *experiment, usage())
+		return 2
+	}
+
+	if *admin != "" {
+		srv, addr, err := obs.Serve(*admin, obs.Default)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+		defer func() { _ = srv.Close() }()
+		fmt.Fprintf(stderr, "admin endpoint on http://%s\n", addr)
+	}
+
+	failed := false
+	start := time.Now()
+	opts := options{quick: *quick, flightDir: *flightDir}
+	for _, e := range todo {
+		r, err := e.run(stdout, opts)
+		if r != nil {
+			fmt.Fprintln(stdout)
+			if *jsonOut {
+				if path, werr := bench.WriteReport(*outdir, r); werr != nil {
+					fmt.Fprintln(stderr, werr)
+					failed = true
+				} else {
+					fmt.Fprintf(stderr, "wrote %s\n", path)
+				}
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			failed = true
+		}
+	}
+	fmt.Fprintf(stdout, "total bench time: %v\n", time.Since(start).Round(time.Millisecond))
 	if failed {
 		return 1
 	}

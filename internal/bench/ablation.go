@@ -40,8 +40,7 @@ func safeRatio(a, b float64) float64 {
 // proposal.
 func AblationBatching(clients, txPer, rows int) AblationResult {
 	run := func(maxBatch int) float64 {
-		d := newShadow(shadowSpec{mode: core.ModeSMR, engines: []string{"h2", "h2", "h2"},
-			reg: core.BankRegistry(), setup: bankSetup(rows), batch: maxBatch})
+		d := newShadow(shadowSpec{mode: core.ModeSMR, reg: core.BankRegistry(), setup: bankSetup(rows), batch: maxBatch})
 		stats := &loadStats{}
 		work := func(i int) Workload { return MicroWorkload(rows, int64(i)*101) }
 		d.clients(stats, clients, txPer, work, shadowSessions(core.ModeSMR, d.rloc, d.bloc, 10*time.Second))

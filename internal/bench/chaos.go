@@ -178,8 +178,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 	d := newShadow(shadowSpec{mode: core.ModePBR, engines: []string{"h2", "hsqldb", "derby"},
 		reg: core.BankRegistry(), setup: bankSetup(cfg.Rows), members: 3, timing: timing,
 		batch: cfg.Batch, batchDelay: cfg.BatchDelay, pipeline: cfg.Pipeline})
-	d.watch(cfg.RingSize)
-	d.arm(cfg.FlightDir, "chaos")
+	d.watch(cfg.RingSize, cfg.FlightDir, "chaos")
 	inj := d.bindFaults(ChaosPlan(cfg))
 
 	timeline := des.NewTimeline(cfg.Bin)

@@ -36,9 +36,8 @@ type deployment struct {
 	nodes []msg.Loc
 	bloc  []msg.Loc
 	rloc  []msg.Loc
-	// pbr/smr are the in-memory ShadowDB systems newShadow builds.
+	// pbr is the in-memory PBR system newShadow builds.
 	pbr *core.PBRSystem
-	smr *core.SMRSystem
 	// intake, when nonzero, is the service time of a client submission
 	// at a broadcast node (the overload experiment's cheap admission
 	// path); inj's slow-disk windows multiply every node's cost.
@@ -148,7 +147,8 @@ func openDB(engine string, setup func(*sqldb.DB) error) *sqldb.DB {
 type shadowSpec struct {
 	// mode selects PBR (interpreted broadcast service, as in the paper)
 	// or SMR (compiled service ordering every transaction).
-	mode    core.ClientMode
+	mode core.ClientMode
+	// engines lists one engine per replica; nil means three H2 replicas.
 	engines []string
 	reg     core.Registry
 	setup   func(*sqldb.DB) error
@@ -167,6 +167,9 @@ type shadowSpec struct {
 func newShadow(s shadowSpec) *deployment {
 	d := newDeployment()
 	d.bloc = []msg.Loc{"b1", "b2", "b3"}
+	if s.engines == nil {
+		s.engines = []string{"h2", "h2", "h2"}
+	}
 	for i := range s.engines {
 		d.rloc = append(d.rloc, msg.Loc(fmt.Sprintf("r%d", i+1)))
 	}
@@ -188,11 +191,11 @@ func newShadow(s shadowSpec) *deployment {
 		}
 		bcfg, mode = d.pbr.Bcast, broadcast.Interpreted
 	} else {
-		d.smr = core.NewSMRSystem(d.bloc, d.rloc, s.reg, mkDB)
+		smr := core.NewSMRSystem(d.bloc, d.rloc, s.reg, mkDB)
 		for _, l := range d.rloc {
-			d.hostReplica(l, d.smr.Replicas[l])
+			d.hostReplica(l, smr.Replicas[l])
 		}
-		bcfg = d.smr.Bcast
+		bcfg = smr.Bcast
 	}
 	bcfg.MaxBatch, bcfg.MaxDelay, bcfg.Pipeline = s.batch, s.batchDelay, s.pipeline
 	d.addBroadcast(bcfg, mode)
@@ -215,7 +218,9 @@ type durableSpec struct {
 	// peers are the replicas' static catch-up peers; nil means the
 	// peers of the current epoch.
 	peers []msg.Loc
-	// joiners start empty and inactive, awaiting a bootstrap snapshot.
+	// joiners are the nodes that enter mid-run: joining replicas start
+	// empty and inactive, awaiting a bootstrap snapshot, and every
+	// joiner is marked in its flight bundles.
 	joiners map[msg.Loc]bool
 	// view returns the epoch view an incarnation attaches to: one
 	// shared view, or a fresh one per replica so each folds its own
@@ -264,7 +269,7 @@ func (d *deployment) incarnate(loc msg.Loc, populate bool) *core.SMRReplica {
 	st := d.openStore(loc, "smr")
 	var setup func(*sqldb.DB) error
 	if populate {
-		setup = func(db *sqldb.DB) error { return core.BankSetup(db, d.dur.rows) }
+		setup = bankSetup(d.dur.rows)
 	}
 	db := openDB("h2", setup)
 	newRep := core.NewDurableSMRReplica
@@ -393,8 +398,19 @@ func (d *deployment) every(start, period time.Duration, fn func() bool) {
 
 // watch attaches a dedicated traced Obs on the virtual clock and an
 // online checker, configured by opts before it subscribes to the event
-// stream.
-func (d *deployment) watch(ring int, opts ...func(*dist.Checker)) {
+// stream. A non-empty flightDir also attaches a flight recorder to every
+// hosted node under flightDir/<node>/flight, all fed from the run's Obs
+// and dumped the moment the checker flags a violation; d.dump dumps
+// them with a given reason (call it when a run ends uncertified, so
+// failure evidence survives even when no checker property fired).
+// Joiners are marked in their bundle metadata, so `flight merge`
+// baselines their delivery frontier instead of flagging the missing
+// pre-join slots.
+//
+// Recorder failures are reported on stderr, never escalated: flight
+// recording is evidence collection, and a broken disk must not turn a
+// measurable experiment into an error.
+func (d *deployment) watch(ring int, flightDir, experiment string, opts ...func(*dist.Checker)) {
 	d.o = obs.New(ring)
 	d.clu.Observe(d.o)
 	d.o.EnableTracing(true)
@@ -403,34 +419,19 @@ func (d *deployment) watch(ring int, opts ...func(*dist.Checker)) {
 		opt(d.checker)
 	}
 	d.checker.Watch(d.o)
-}
-
-// arm attaches a flight recorder to every hosted node under
-// dir/<node>/flight, all fed from the run's Obs and dumped the moment
-// the checker flags a violation; d.dump dumps them with a given reason
-// (call it when a run ends uncertified, so failure evidence survives
-// even when no checker property fired). Joiners are marked in their
-// bundle metadata, so `flight merge` baselines their delivery frontier
-// instead of flagging the missing pre-join slots. An empty dir disarms
-// everything.
-//
-// Recorder failures are reported on stderr, never escalated: flight
-// recording is evidence collection, and a broken disk must not turn a
-// measurable experiment into an error.
-func (d *deployment) arm(dir, experiment string, joiners ...msg.Loc) {
-	if dir == "" {
+	if flightDir == "" {
 		return
 	}
 	registerWireTypes()
 	for _, n := range d.nodes {
-		rec, err := obs.NewRecorder(d.o, filepath.Join(dir, string(n), "flight"), n)
+		rec, err := obs.NewRecorder(d.o, filepath.Join(flightDir, string(n), "flight"), n)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "flight: %s: %v\n", n, err)
 			continue
 		}
 		rec.SetCheckerStatus(func() any { return d.checker.Status() })
 		cfg := map[string]string{"experiment": experiment}
-		if slices.Contains(joiners, n) {
+		if d.dur.joiners[n] {
 			cfg["joiner"] = "true"
 		}
 		rec.SetConfig(cfg)
@@ -465,6 +466,16 @@ func flightSubdir(dir, phase string) string {
 		return ""
 	}
 	return filepath.Join(dir, phase)
+}
+
+// charter is epoch 0 of the dynamic-membership deployments: three
+// broadcast service nodes and three replicas, r1 the natural lease
+// holder.
+func charter() member.Config {
+	return member.Config{
+		Bcast:    []msg.Loc{"b1", "b2", "b3"},
+		Replicas: []msg.Loc{"r1", "r2", "r3"},
+	}
 }
 
 // tempRoot returns dir, or a fresh temporary directory and the func

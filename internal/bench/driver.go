@@ -311,7 +311,7 @@ func broadcastRun(cfg broadcast.Config, mode broadcast.Mode, n, per, ring int) (
 	}
 	d.addBroadcast(cfg, mode)
 	if ring > 0 {
-		d.watch(ring)
+		d.watch(ring, "", "")
 	}
 	stats, slots := &loadStats{}, &slotTally{seen: make(map[int]bool)}
 	d.clients(stats, n, per, nil, func(i int, loc msg.Loc) session {

@@ -72,11 +72,10 @@ func Fig10a(cfg Fig10aConfig) Fig10aResult {
 		SuspectAfter:   cfg.SuspectAfter,
 		ClientRetry:    time.Second,
 	}
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
 	// The paper's diversity deployment: H2 primary, HSQLDB backup, Derby
 	// spare.
 	d := newShadow(shadowSpec{mode: core.ModePBR, engines: []string{"h2", "hsqldb", "derby"},
-		reg: core.BankRegistry(), setup: setup, members: 2, timing: timing})
+		reg: core.BankRegistry(), setup: bankSetup(cfg.Rows), members: 2, timing: timing})
 
 	timeline := des.NewTimeline(time.Second)
 	stats := &loadStats{timeline: timeline}

@@ -61,7 +61,7 @@ func Fig9a(cfg Fig9Config) Fig9Result {
 		Order:  []string{"ShadowDB-PBR", "ShadowDB-SMR", "H2-repl.", "MySQL-repl.", "H2-stdalone"},
 		Curves: make(map[string][]CurvePoint),
 	}
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
+	setup := bankSetup(cfg.Rows)
 	micro := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*7919) }
 	for _, n := range cfg.Clients {
 		res.Curves["ShadowDB-PBR"] = append(res.Curves["ShadowDB-PBR"],
@@ -90,14 +90,7 @@ func Fig9b(cfg Fig9Config) Fig9Result {
 	// dominant real-time cost of the sweep; populate a template once and
 	// clone it into each replica via snapshot restore (identical state,
 	// ~10x faster).
-	template, err := sqldb.Open("h2:mem:template")
-	if err != nil {
-		panic(err)
-	}
-	if err := tpcc.Setup(template, cfg.Scale); err != nil {
-		panic(err)
-	}
-	dumps := template.Snapshot()
+	dumps := openDB("h2", func(db *sqldb.DB) error { return tpcc.Setup(db, cfg.Scale) }).Snapshot()
 	setup := func(db *sqldb.DB) error { return db.Restore(dumps) }
 	work := func(i int) Workload {
 		g := tpcc.NewGenerator(cfg.Scale, int64(i)*104729)
@@ -128,7 +121,7 @@ func runShadow(mode core.ClientMode, cfg Fig9Config, clients int, reg core.Regis
 	if mode == core.ModePBR {
 		retry = 5 * time.Second
 	}
-	d := newShadow(shadowSpec{mode: mode, engines: []string{"h2", "h2", "h2"}, reg: reg, setup: setup,
+	d := newShadow(shadowSpec{mode: mode, reg: reg, setup: setup,
 		members: 2, timing: core.DefaultTiming()})
 	stats := &loadStats{}
 	d.clients(stats, clients, cfg.TxPer, work, shadowSessions(mode, d.rloc, d.bloc, retry))

@@ -175,14 +175,6 @@ func (r MembershipResult) Certified() bool {
 		(!r.ReproChecked || r.FingerprintStable)
 }
 
-// membershipInitial is epoch 0: the charter members.
-func membershipInitial() member.Config {
-	return member.Config{
-		Bcast:    []msg.Loc{"b1", "b2", "b3"},
-		Replicas: []msg.Loc{"r1", "r2", "r3"},
-	}
-}
-
 // scheduledChange is one membership command at its proposal time.
 type scheduledChange struct {
 	At  time.Duration
@@ -231,11 +223,11 @@ func Membership(cfg MembershipConfig) MembershipResult {
 func membershipRun(cfg MembershipConfig) MembershipResult {
 	root, cleanup := tempRoot(cfg.DataDir)
 	defer cleanup()
-	view := member.NewView(membershipInitial(), cfg.Alpha)
+	view := member.NewView(charter(), cfg.Alpha)
 	bloc := []msg.Loc{"b1", "b2", "b3", "b4", "b5"}
 	d := newDurable(durableSpec{
 		root: root, fsync: cfg.Fsync, rows: cfg.Rows,
-		joiners: map[msg.Loc]bool{"r4": true, "r5": true},
+		joiners: map[msg.Loc]bool{"r4": true, "r5": true, "b4": true, "b5": true},
 		view:    func() *member.View { return view },
 	}, bloc, []msg.Loc{"r1", "r2", "r3", "r4", "r5"})
 	d.addBroadcast(broadcast.Config{
@@ -244,8 +236,8 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 		View:     view,
 		Modules:  []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, nil, view)},
 	}, broadcast.Compiled)
-	d.watch(cfg.RingSize, func(c *dist.Checker) { c.SetMembership(membershipInitial(), cfg.Alpha) })
-	d.arm(cfg.FlightDir, "membership", "r4", "r5", "b4", "b5")
+	d.watch(cfg.RingSize, cfg.FlightDir, "membership",
+		func(c *dist.Checker) { c.SetMembership(charter(), cfg.Alpha) })
 	sim := d.sim
 
 	timeline := des.NewTimeline(cfg.Bin)
@@ -255,7 +247,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	// forward broadcasts to the sequencer, so a static client config
 	// survives every resize.
 	d.clients(stats, cfg.Clients, cfg.TxPer, work,
-		shadowSessions(core.ModeSMR, membershipInitial().Replicas, membershipInitial().Bcast, 10*time.Second))
+		shadowSessions(core.ModeSMR, charter().Replicas, charter().Bcast, 10*time.Second))
 
 	res := MembershipResult{Clients: cfg.Clients, JoinerActiveAt: -1}
 	snapsBefore := obs.C("core.smr.member_snapshots").Value()

@@ -213,8 +213,7 @@ func Overload(cfg OverloadConfig) OverloadResult {
 		Classify:         core.FlowClass,
 		FlowNow:          sim.Now,
 	}, broadcast.Compiled)
-	d.watch(cfg.RingSize, func(c *dist.Checker) { c.SetFlow(cfg.FlowLimit) })
-	d.arm(cfg.FlightDir, "overload")
+	d.watch(cfg.RingSize, cfg.FlightDir, "overload", func(c *dist.Checker) { c.SetFlow(cfg.FlowLimit) })
 	checker := d.checker
 
 	// The slow-disk window opens SlowAfter into the 16x phase and heals

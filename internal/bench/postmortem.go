@@ -144,12 +144,12 @@ func Postmortem(cfg PostmortemConfig) (PostmortemResult, error) {
 // the ring the recorders dump; the returned func restores it and must
 // run before the next run starts. recorderOn selects the full flight
 // recorder (debug logging, tracing, rate windows on the virtual clock)
-// or everything off; checked attaches the online checker.
-func postmortemRun(cfg PostmortemConfig, recorderOn, checked bool) (*deployment, *loadStats, *obs.Rates, func()) {
-	d := newShadow(shadowSpec{mode: core.ModeSMR, engines: []string{"h2", "h2", "h2"},
-		reg: core.BankRegistry(), setup: bankSetup(cfg.Rows)})
-	if checked {
-		d.watch(cfg.RingSize)
+// or everything off. A non-empty flightDir attaches the online checker
+// and a flight recorder per node dumping there.
+func postmortemRun(cfg PostmortemConfig, recorderOn bool, flightDir string) (*deployment, *loadStats, *obs.Rates, func()) {
+	d := newShadow(shadowSpec{mode: core.ModeSMR, reg: core.BankRegistry(), setup: bankSetup(cfg.Rows)})
+	if flightDir != "" {
+		d.watch(cfg.RingSize, flightDir, "postmortem")
 	} else {
 		// The overhead pair measures the recorder alone, without a checker.
 		d.o = obs.New(cfg.RingSize)
@@ -182,12 +182,10 @@ func postmortemRun(cfg PostmortemConfig, recorderOn, checked bool) (*deployment,
 // delivery: recorders on every node, checker attached, bundle dumps on
 // the violation hook.
 func postmortemViolationRun(cfg PostmortemConfig, dir string, res *PostmortemResult) error {
-	d, stats, rates, restore := postmortemRun(cfg, true, true)
-	defer restore()
-
 	// One recorder per node, every one fed from the run's shared Obs;
 	// Dump filters its node's slice of the log and trace rings.
-	d.arm(dir, "postmortem")
+	d, stats, rates, restore := postmortemRun(cfg, true, dir)
+	defer restore()
 	res.Nodes = len(d.nodes)
 	for _, rec := range d.recs {
 		rec.SetRates(rates)
@@ -263,7 +261,7 @@ func postmortemAnalyze(dir string, res *PostmortemResult) error {
 // postmortemCleanRun is one un-forged run at the same scale, returning
 // its wall-clock duration.
 func postmortemCleanRun(cfg PostmortemConfig, recorderOn bool) time.Duration {
-	d, _, _, restore := postmortemRun(cfg, recorderOn, false)
+	d, _, _, restore := postmortemRun(cfg, recorderOn, "")
 	defer restore()
 	start := time.Now()
 	d.sim.Run(cfg.RunFor, 500_000_000)

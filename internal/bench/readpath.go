@@ -225,14 +225,6 @@ func (r ReadPathResult) Certified() bool {
 		len(r.Violations) == 0
 }
 
-// readpathInitial is the chaos epoch 0: r1 is the natural holder.
-func readpathInitial() member.Config {
-	return member.Config{
-		Bcast:    []msg.Loc{"b1", "b2", "b3"},
-		Replicas: []msg.Loc{"r1", "r2", "r3"},
-	}
-}
-
 // newReadPathDeployment builds a durable lease-enabled 3+3 SMR
 // deployment on a fresh data root. Unlike the membership experiment's
 // shared view, every replica folds membership commands and renewals
@@ -241,7 +233,7 @@ func readpathInitial() member.Config {
 // state (and its view) from its journal, but its lease state starts
 // empty: leases are volatile by design.
 func newReadPathDeployment(cfg ReadPathConfig, root, label string) *deployment {
-	initial := readpathInitial()
+	initial := charter()
 	d := newDurable(durableSpec{
 		root: root, fsync: cfg.Fsync, rows: cfg.Rows,
 		view:       func() *member.View { return member.NewView(initial, cfg.Alpha) },
@@ -259,11 +251,10 @@ func newReadPathDeployment(cfg ReadPathConfig, root, label string) *deployment {
 		Stable:   func(loc msg.Loc) store.Stable { return d.openStore(loc, "bcast") },
 		Modules:  []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, nil, bview)},
 	}, broadcast.Compiled)
-	d.watch(cfg.RingSize, func(c *dist.Checker) {
+	d.watch(cfg.RingSize, cfg.FlightDir, "readpath-"+label, func(c *dist.Checker) {
 		c.SetMembership(initial, cfg.Alpha)
 		c.SetLease(cfg.LeaseDur, cfg.MaxStale)
 	})
-	d.arm(cfg.FlightDir, "readpath-"+label)
 	return d
 }
 
@@ -287,8 +278,7 @@ func readpathPhase(cfg ReadPathConfig, label string, mode core.ReadMode, target 
 			return "balance", []any{int64(rng.Intn(cfg.Rows))}
 		}
 	}, func(i int, loc msg.Loc) session {
-		s := shadowSessions(core.ModeSMR, d.rloc, d.bloc, cfg.Retry)(i, loc).(*txSession)
-		s.read = mode
+		s := &txSession{cli: &core.Client{Slf: loc, Mode: core.ModeSMR, Replicas: d.rloc, BcastNodes: d.bloc, Retry: cfg.Retry}, read: mode}
 		if target != nil {
 			s.target = target(i)
 		}
@@ -451,7 +441,7 @@ func MeasureReadAllocs(runs int) (serve, apply float64) {
 		}
 		rep := core.NewSMRReplica(loc, db, core.BankRegistry())
 		rep.Executor().Fast = core.BankFastRegistry()
-		rep.SetView(member.NewView(readpathInitial(), 8))
+		rep.SetView(member.NewView(charter(), 8))
 		rep.EnableLease(core.LeaseConfig{
 			Dur: time.Hour, MaxStale: time.Hour, Bcast: "b1",
 			Now: func() time.Duration { return time.Second },

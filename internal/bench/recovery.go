@@ -180,8 +180,7 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 		local[b] = []msg.Loc{rloc[i]}
 	}
 	d.addBroadcast(broadcast.Config{Nodes: bloc, LocalSubscribers: local}, broadcast.Compiled)
-	d.watch(cfg.RingSize)
-	d.arm(cfg.FlightDir, "recovery")
+	d.watch(cfg.RingSize, cfg.FlightDir, "recovery")
 	sim := d.sim
 
 	timeline := des.NewTimeline(cfg.Bin)

@@ -111,11 +111,12 @@ const routerOverhead = 10 * time.Microsecond
 // fronted by one router.
 type shardCluster struct {
 	*deployment
-	part     shard.Partitioner
-	router   *shard.Router
-	bloc     [][]msg.Loc // per shard
-	rloc     [][]msg.Loc
-	replicas map[msg.Loc]*shard.Replica
+	part   shard.Partitioner
+	router *shard.Router
+	// shardBcast/shardReps are each shard's service nodes and replicas.
+	shardBcast [][]msg.Loc
+	shardReps  [][]msg.Loc
+	replicas   map[msg.Loc]*shard.Replica
 }
 
 // newShardCluster builds an n-shard deployment. Every shard's replicas
@@ -131,8 +132,8 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 	for k := 0; k < n; k++ {
 		bloc := []msg.Loc{shard.BcastLoc(k, 0), shard.BcastLoc(k, 1), shard.BcastLoc(k, 2)}
 		rloc := []msg.Loc{shard.ReplicaLoc(k, 0), shard.ReplicaLoc(k, 1)}
-		sc.bloc = append(sc.bloc, bloc)
-		sc.rloc = append(sc.rloc, rloc)
+		sc.shardBcast = append(sc.shardBcast, bloc)
+		sc.shardReps = append(sc.shardReps, rloc)
 		sc.addBroadcast(broadcast.Config{
 			Nodes: bloc,
 			LocalSubscribers: map[msg.Loc][]msg.Loc{
@@ -152,7 +153,7 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 
 	rt, err := shard.NewRouter(shard.Config{
 		Slf: shard.RouterLoc, Part: sc.part, App: shard.Bank(),
-		Shards: sc.bloc, Retry: cfg.Retry,
+		Shards: sc.shardBcast, Retry: cfg.Retry,
 	})
 	if err != nil {
 		panic(err)
@@ -168,12 +169,8 @@ func (sc *shardCluster) routerClients(stats *loadStats, n, txPer int, retry time
 	sc.clients(stats, n, txPer, work, shadowSessions(core.ModePBR, []msg.Loc{shard.RouterLoc}, nil, retry))
 }
 
-// watchShards attaches the group-keyed checker and, for dir, the flight
-// recorders.
-func (sc *shardCluster) watchShards(ring int, dir, experiment string) {
-	sc.watch(ring, func(c *dist.Checker) { c.SetGroupOf(shard.GroupOf) })
-	sc.arm(dir, experiment)
-}
+// groupByShard keys the checker's invariants per shard group.
+func groupByShard(c *dist.Checker) { c.SetGroupOf(shard.GroupOf) }
 
 // mixedWorkload interleaves zipfian deposits with transfers between two
 // uniformly random distinct accounts (amounts 1..10). With a hash
@@ -282,7 +279,7 @@ func Shard(cfg ShardConfig) ShardResult {
 // with the checker attached.
 func shardSweepPoint(n int, cfg ShardConfig) ShardPoint {
 	sc := newShardCluster(n, cfg)
-	sc.watchShards(cfg.RingSize, "", "")
+	sc.watch(cfg.RingSize, "", "", groupByShard)
 	stats := &loadStats{}
 	sc.routerClients(stats, cfg.Clients, cfg.TxPer, 2*time.Second,
 		func(i int) Workload { return ZipfWorkload(cfg.Rows, int64(i)*7919+1) })
@@ -314,7 +311,7 @@ func balanced(sc *shardCluster, rows int, depositCommits int64) bool {
 	var total int64
 	for id := 0; id < rows; id++ {
 		k := sc.part.Shard(shard.BankKey(int64(id)))
-		db := sc.replicas[sc.rloc[k][0]].DB()
+		db := sc.replicas[sc.shardReps[k][0]].DB()
 		res, err := db.Exec("SELECT balance FROM accounts WHERE id = ?", id)
 		if err != nil || len(res.Rows) == 0 {
 			return false
@@ -335,9 +332,9 @@ func balanced(sc *shardCluster, rows int, depositCommits int64) bool {
 
 // replicasEqual checks state parity inside every shard.
 func replicasEqual(sc *shardCluster) bool {
-	for k := range sc.rloc {
-		a := sc.replicas[sc.rloc[k][0]].DB()
-		b := sc.replicas[sc.rloc[k][1]].DB()
+	for k := range sc.shardReps {
+		a := sc.replicas[sc.shardReps[k][0]].DB()
+		b := sc.replicas[sc.shardReps[k][1]].DB()
 		if !sqldb.Equal(a, b) {
 			return false
 		}
@@ -357,7 +354,7 @@ func openPrepares(sc *shardCluster) int {
 // shardMixed is phase 2: the mixed workload on MixedShards shards.
 func shardMixed(cfg ShardConfig, res *ShardResult) {
 	sc := newShardCluster(cfg.MixedShards, cfg)
-	sc.watchShards(cfg.RingSize, flightSubdir(cfg.FlightDir, "mixed"), "shard-mixed")
+	sc.watch(cfg.RingSize, flightSubdir(cfg.FlightDir, "mixed"), "shard-mixed", groupByShard)
 
 	stats := &loadStats{}
 	sc.routerClients(stats, cfg.MixedClients, cfg.MixedTxPer, time.Second,
@@ -386,9 +383,9 @@ func shardMixed(cfg ShardConfig, res *ShardResult) {
 // lose the router, the clients, and shard 0) mid-run, then healed.
 func shardChaos(cfg ShardConfig, res *ShardResult) {
 	sc := newShardCluster(cfg.MixedShards, cfg)
-	sc.watchShards(cfg.RingSize, flightSubdir(cfg.FlightDir, "chaos"), "shard-chaos")
+	sc.watch(cfg.RingSize, flightSubdir(cfg.FlightDir, "chaos"), "shard-chaos", groupByShard)
 
-	island := append(append([]msg.Loc{}, sc.bloc[1]...), sc.rloc[1]...)
+	island := append(append([]msg.Loc{}, sc.shardBcast[1]...), sc.shardReps[1]...)
 	inj := sc.bindFaults(fault.Plan{
 		Seed: 11,
 		Partitions: []fault.Partition{fault.Isolate(

@@ -56,11 +56,10 @@ type SpanResult struct {
 
 // Spans runs the experiment.
 func Spans(cfg SpanConfig) SpanResult {
-	d := newShadow(shadowSpec{mode: core.ModeSMR, engines: []string{"h2", "h2", "h2"},
-		reg: core.BankRegistry(), setup: bankSetup(cfg.Rows)})
+	d := newShadow(shadowSpec{mode: core.ModeSMR, reg: core.BankRegistry(), setup: bankSetup(cfg.Rows)})
 	// Dedicated Obs on the simulator's virtual clock; the online checker
 	// subscribes to the live stream before any load runs.
-	d.watch(cfg.RingSize)
+	d.watch(cfg.RingSize, "", "")
 
 	stats := &loadStats{}
 	d.clients(stats, cfg.Clients, cfg.TxPer,
