@@ -310,12 +310,14 @@ type procHooks struct {
 // later, once the node's crash flag has cleared — asks the current
 // peers for the downtime delta and re-arms its lease timer.
 func (d *deployment) bindProcess(plan fault.Plan, h procHooks) *fault.Injector {
-	d.inj = fault.BindProcess(d.clu, plan, fault.ProcessHooks{
+	inj := fault.BindProcess(d.clu, plan, fault.ProcessHooks{
 		Kill: func(loc msg.Loc) {
 			d.kills++
 			if h.killed != nil {
 				h.killed(loc)
 			}
+			// A close error changes nothing: the restart recovers
+			// whatever the store holds.
 			_ = d.sts[loc].Close()
 		},
 		DataDir: func(loc msg.Loc) string { return filepath.Join(d.dur.root, string(loc)) },
@@ -340,8 +342,8 @@ func (d *deployment) bindProcess(plan fault.Plan, h procHooks) *fault.Injector {
 			})
 		},
 	})
-	d.inj.SetObs(d.o)
-	return d.inj
+	inj.SetObs(d.o)
+	return inj
 }
 
 // bindFaults binds plan's message faults, crashes and slow-disk windows

@@ -125,7 +125,7 @@ func pad140() []byte {
 	return b
 }
 
-// --------------------------------------------------- ShadowDB on the sim --
+// ------------------------------------------------- simulated service times --
 
 // replicaOverhead is the fixed per-message cost of the hand-written Java
 // replica layer (socket handling, dispatch).
