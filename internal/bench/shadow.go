@@ -148,10 +148,11 @@ func innerCount(m msg.Msg) int {
 		return len(body.Msgs)
 	default:
 		// Batched consensus values (propose / p2a / decide) carry an
-		// encoded batch; approximate by encoded size.
+		// encoded batch; charge its message count, read from the batch
+		// header, so the cost does not depend on the codec.
 		if val, ok := batchValue(m); ok {
-			n := len(val) / 200
-			if n < 1 {
+			n, err := broadcast.BatchLen(val)
+			if err != nil || n < 1 {
 				n = 1
 			}
 			return n

@@ -779,6 +779,13 @@ func DecodeBatch(val string) (batch []Bcast, err error) {
 	return batch, nil
 }
 
+// BatchLen returns the number of client messages in an encoded batch,
+// the unit the simulator's cost model charges consensus messages by.
+func BatchLen(val string) (int, error) {
+	batch, err := DecodeBatch(val)
+	return len(batch), err
+}
+
 // ----------------------------------------------------------------- spec --
 
 // Spec builds the full service specification: every node runs the

@@ -281,3 +281,18 @@ func BenchmarkBcastKeySprintf(b *testing.B) {
 		}
 	}
 }
+
+func TestBatchLen(t *testing.T) {
+	for _, n := range []int{0, 1, 7} {
+		batch := make([]Bcast, n)
+		for i := range batch {
+			batch[i] = Bcast{From: "c", Seq: int64(i), Payload: []byte("p")}
+		}
+		if got, err := BatchLen(EncodeBatch(batch)); err != nil || got != n {
+			t.Errorf("BatchLen of %d messages = %d, %v", n, got, err)
+		}
+	}
+	if _, err := BatchLen("not a batch"); err == nil {
+		t.Error("BatchLen accepted garbage")
+	}
+}
