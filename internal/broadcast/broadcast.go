@@ -27,8 +27,7 @@
 package broadcast
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -43,6 +42,7 @@ import (
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/store"
+	"shadowdb/internal/wire"
 )
 
 // Message headers of the service.
@@ -752,38 +752,59 @@ func (s *seqState) nextFreeSlot() int {
 
 // ------------------------------------------------------------- encoding --
 
-// EncodeBatch serializes a batch deterministically for use as a consensus
-// value.
+// EncodeBatch serializes a batch for use as a consensus value: the wire
+// format byte, the message count, then each message's From, Seq,
+// Payload and Deadline (see package wire). The bytes depend on the
+// batch alone, so every proposer encodes a batch identically.
 func EncodeBatch(batch []Bcast) string {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(batch); err != nil {
-		// Bcast contains only gob-encodable fields; this cannot fail.
-		panic(fmt.Sprintf("broadcast: encode batch: %v", err))
+	n := 1 + binary.MaxVarintLen64
+	for _, m := range batch {
+		n += len(m.From) + len(m.Payload) + 3*binary.MaxVarintLen64
 	}
-	return buf.String()
+	b := wire.Begin(make([]byte, 0, n), "")
+	b = wire.AppendUint(b, uint64(len(batch)))
+	for _, m := range batch {
+		b = wire.AppendString(b, string(m.From))
+		b = wire.AppendInt(b, m.Seq)
+		b = wire.AppendBytes(b, m.Payload)
+		b = wire.AppendInt(b, m.Deadline)
+	}
+	return string(b)
 }
 
-// DecodeBatch reverses EncodeBatch. Malformed input — truncated,
-// corrupted, or adversarial bytes that make the gob decoder panic —
-// returns an error, never a crash: consensus values can cross the wire
-// and the WAL, so this path must be total.
-func DecodeBatch(val string) (batch []Bcast, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			batch, err = nil, fmt.Errorf("broadcast: decode batch: %v", r)
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader([]byte(val))).Decode(&batch); err != nil {
+// minBcastBytes is the smallest encoding of one batch message: one
+// byte each for From's length, Seq, Payload's length and Deadline.
+const minBcastBytes = 4
+
+// DecodeBatch reverses EncodeBatch. Malformed input returns an error,
+// never a crash: consensus values cross the wire and the WAL, so this
+// path must be total. A batch written by an older release fails with
+// an error matching wire.ErrFormat.
+func DecodeBatch(val string) ([]Bcast, error) {
+	r := wire.NewReader(val, "")
+	var batch []Bcast
+	if n := r.Count(minBcastBytes); n > 0 {
+		batch = make([]Bcast, n)
+	}
+	for i := range batch {
+		batch[i] = Bcast{From: msg.Loc(r.String()), Seq: r.Int(), Payload: r.Bytes(), Deadline: r.Int()}
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("broadcast: decode batch: %w", err)
 	}
 	return batch, nil
 }
 
 // BatchLen returns the number of client messages in an encoded batch,
-// the unit the simulator's cost model charges consensus messages by.
+// the unit the simulator's cost model charges consensus messages by. It
+// reads the batch header only.
 func BatchLen(val string) (int, error) {
-	batch, err := DecodeBatch(val)
-	return len(batch), err
+	r := wire.NewReader(val, "")
+	n := r.Count(minBcastBytes)
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("broadcast: batch length: %w", err)
+	}
+	return n, nil
 }
 
 // ----------------------------------------------------------------- spec --

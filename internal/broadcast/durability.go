@@ -84,11 +84,7 @@ func (s *seqState) restore(st store.Stable) {
 				if slot < s.next {
 					continue
 				}
-				if batch, err := DecodeBatch(val); err == nil {
-					s.decided[slot] = batch
-				} else {
-					s.decided[slot] = nil
-				}
+				s.decided[slot] = restoredBatch(slot, val)
 			}
 		}
 	}
@@ -103,11 +99,7 @@ func (s *seqState) restore(st store.Stable) {
 		if r.Inst < s.next {
 			return nil
 		}
-		if batch, err := DecodeBatch(r.Val); err == nil {
-			s.decided[r.Inst] = batch
-		} else {
-			s.decided[r.Inst] = nil
-		}
+		s.decided[r.Inst] = restoredBatch(r.Inst, r.Val)
 		return nil
 	})
 	if err != nil {
@@ -125,4 +117,16 @@ func (s *seqState) restore(st store.Stable) {
 	if s.propSlot < s.next-1 {
 		s.propSlot = s.next - 1
 	}
+}
+
+// restoredBatch decodes a journaled decision. A batch that does not
+// decode — in particular one written in an older release's format —
+// stops the restart: replaying it as an empty slot would silently drop
+// the committed messages it carries.
+func restoredBatch(slot int, val string) []Bcast {
+	batch, err := DecodeBatch(val)
+	if err != nil {
+		panic(fmt.Errorf("broadcast: sequencer journal slot %d: %w", slot, err))
+	}
+	return batch
 }

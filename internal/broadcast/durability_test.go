@@ -1,12 +1,16 @@
 package broadcast
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"testing"
 
 	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/loe"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/store"
+	"shadowdb/internal/wire"
 )
 
 func durableSeqCfg(prov store.Provider) Config {
@@ -121,5 +125,47 @@ func TestDecodeBatchMalformed(t *testing.T) {
 	out, err := DecodeBatch(EncodeBatch(in))
 	if err != nil || len(out) != 1 || out[0].From != in[0].From || out[0].Seq != in[0].Seq || string(out[0].Payload) != string(in[0].Payload) {
 		t.Fatalf("round trip: %v %v", out, err)
+	}
+}
+
+// A sequencer restarted over a journal whose decided batches were
+// written by the earlier gob codec must refuse to start, naming the
+// format, whether the batch sits in a journal record or in the
+// compacted snapshot: replaying it as an empty slot would drop the
+// committed messages it carries.
+func TestSequencerRefusesOldFormatJournal(t *testing.T) {
+	gobOf := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	oldBatch := string(gobOf([]Bcast{{From: "c1", Seq: 1, Payload: []byte("x")}}))
+	for name, seed := range map[string]func(store.Stable) error{
+		"record": func(st store.Stable) error {
+			return st.Append(gobOf(seqRecord{Inst: 0, Val: oldBatch}))
+		},
+		"snapshot": func(st store.Stable) error {
+			return st.SaveSnapshot(gobOf(seqSnapshot{Next: 0, PropSlot: 1, Decided: map[int]string{1: oldBatch}}))
+		},
+	} {
+		prov := store.NewMem()
+		st, err := prov.Open("seq-b1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seed(st); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.Is(err, wire.ErrFormat) {
+					t.Errorf("%s: restart over a gob-era journal: %v, want wire.ErrFormat", name, err)
+				}
+			}()
+			loe.NewProcess(sequencerClass(durableSeqCfg(prov)), "b1")
+		}()
 	}
 }

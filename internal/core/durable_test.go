@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"testing"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
+	"shadowdb/internal/wire"
 )
 
 func bankDB(t *testing.T, name string, rows int) *sqldb.DB {
@@ -136,6 +140,32 @@ func TestDurableSMRReplicaRecoversLocally(t *testing.T) {
 	if !sqldb.Equal(db, db2) {
 		t.Error("recovered database differs from the original")
 	}
+}
+
+// A journal slot whose transaction payload was written by the earlier
+// gob codec must stop the restart with a format error: applyBatch would
+// skip the payload it cannot decode and silently lose the committed
+// transaction.
+func TestDurableSMRReplicaRefusesOldFormat(t *testing.T) {
+	prov := store.NewMem()
+	if _, err := NewDurableSMRReplica("r1", bankDB(t, "old-r1", 10), BankRegistry(), mustOpen(t, prov, "r1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	gobBasics()
+	var old bytes.Buffer
+	old.WriteString("tx|")
+	if err := gob.NewEncoder(&old).Encode(durDeposit(1)); err != nil {
+		t.Fatal(err)
+	}
+	rec := gobEnc(walDeliver{Slot: 0, Msgs: []broadcast.Bcast{{From: "c0", Seq: 1, Payload: old.Bytes()}}})
+	if err := mustOpen(t, prov, "r1").Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewDurableSMRReplica("r1", emptyDB(t, "old-r1b"), BankRegistry(), mustOpen(t, prov, "r1"), nil)
+	if !errors.Is(err, wire.ErrFormat) {
+		t.Fatalf("restart over a gob-era journal: err = %v, want wire.ErrFormat", err)
+	}
+	t.Log(err)
 }
 
 // Local recovery across a compaction boundary: enough slots to trigger

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"shadowdb/internal/obs"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
+	"shadowdb/internal/wire"
 )
 
 // SMR: state machine replication (Section III-B of the paper). Clients
@@ -531,6 +531,7 @@ func (r *SMRReplica) onSnapEnd(s SnapEnd) []msg.Directive {
 // ------------------------------------------------------------- payloads --
 
 // gobBasics registers the basic types that travel inside TxRequest.Args
+// and result rows in gob-encoded messages and durability records
 // (interface-typed fields need explicit registration).
 var gobBasics = sync.OnceFunc(func() {
 	gob.Register(int64(0))
@@ -540,25 +541,33 @@ var gobBasics = sync.OnceFunc(func() {
 	gob.Register(true)
 })
 
-// EncodeTx serializes a transaction request for a broadcast payload.
+// txTag marks a transaction payload; SMRReplica.applyBatch dispatches
+// every other payload tag before falling back to DecodeTx.
+const txTag = "tx|"
+
+// EncodeTx serializes a transaction request for a broadcast payload:
+// the "tx|" tag and wire format byte, then Client, Seq, Type, Args and
+// Deadline (see package wire). An argument of a type the codec cannot
+// carry is an error.
 func EncodeTx(req TxRequest) ([]byte, error) {
-	gobBasics()
-	var buf bytes.Buffer
-	buf.WriteString("tx|")
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+	b := make([]byte, 0, 32+len(req.Client)+len(req.Type)+16*len(req.Args))
+	b = wire.Begin(b, txTag)
+	b = wire.AppendString(b, string(req.Client))
+	b = wire.AppendInt(b, req.Seq)
+	b = wire.AppendString(b, req.Type)
+	b, err := wire.AppendArgs(b, req.Args)
+	if err != nil {
 		return nil, fmt.Errorf("core: encode tx: %w", err)
 	}
-	return buf.Bytes(), nil
+	return wire.AppendInt(b, req.Deadline), nil
 }
 
-// DecodeTx reverses EncodeTx.
+// DecodeTx reverses EncodeTx. A tx payload written by an older release
+// fails with an error matching wire.ErrFormat.
 func DecodeTx(b []byte) (TxRequest, error) {
-	gobBasics()
-	if len(b) < 3 || string(b[:3]) != "tx|" {
-		return TxRequest{}, errStray
-	}
-	var req TxRequest
-	if err := gob.NewDecoder(bytes.NewReader(b[3:])).Decode(&req); err != nil {
+	r := wire.NewReader(string(b), txTag)
+	req := TxRequest{Client: msg.Loc(r.String()), Seq: r.Int(), Type: r.String(), Args: r.Args(), Deadline: r.Int()}
+	if err := r.Done(); err != nil {
 		return TxRequest{}, fmt.Errorf("core: decode tx: %w", err)
 	}
 	return req, nil

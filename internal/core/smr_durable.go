@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"shadowdb/internal/netutil"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
+	"shadowdb/internal/wire"
 )
 
 // SMR durability. A durable SMR replica journals every delivered slot
@@ -176,6 +178,13 @@ func (r *SMRReplica) recoverLocal() (bool, error) {
 		}
 		if w.Slot != r.lastSlot+1 {
 			return nil // pre-snapshot straggler or duplicate
+		}
+		// applyBatch skips a payload it cannot decode; one journaled by
+		// an older release would silently drop a committed transaction.
+		for _, b := range w.Msgs {
+			if _, err := DecodeTx(b.Payload); errors.Is(err, wire.ErrFormat) {
+				return fmt.Errorf("core: smr journal slot %d: %w", w.Slot, err)
+			}
 		}
 		r.lastSlot = w.Slot
 		// Re-execute; nothing is listening yet, so the replies (already

@@ -94,8 +94,7 @@ type TxRequest struct {
 	// deployment clock, 0 = none), stamped by the client. Non-replicated
 	// hops (router, sequencer intake) drop the request with an explicit
 	// flow.Reject once it expires; replicated hops apply regardless (the
-	// order is the order) but suppress the client ack. Gob omits zero
-	// fields, so deadline-free traffic pays no wire cost.
+	// order is the order) but suppress the client ack.
 	Deadline int64
 }
 

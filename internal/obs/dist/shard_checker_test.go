@@ -72,10 +72,14 @@ func TestCheckerFlagsDivergenceWithinShard(t *testing.T) {
 }
 
 func prepPayload(txid string, shardIdx int) []byte {
-	return shard.EncodePrepare(shard.Prepare{
+	b, err := shard.EncodePrepare(shard.Prepare{
 		TxID: txid, Coord: "rt1", Shard: shardIdx, Participants: []int{0, 1},
 		Sub: shard.SubTx{Apply: "deposit", ApplyArgs: []any{1, 1}},
 	})
+	if err != nil {
+		panic(err) // every argument above has a codec type
+	}
+	return b
 }
 
 func decPayload(txid string, shardIdx int, commit bool) []byte {

@@ -117,6 +117,9 @@ type Router struct {
 type txState struct {
 	req  core.TxRequest
 	subs map[int]SubTx
+	// prep holds each participant's encoded Prepare, built once when the
+	// transaction begins; retransmissions resend the same bytes.
+	prep map[int][]byte
 	// att counts prepare/decision sends per shard — each send rotates the
 	// target service node and burns a fresh broadcast seq.
 	att     map[int]int
@@ -215,11 +218,15 @@ func (r *Router) replay() error {
 		}
 		switch jr.Kind {
 		case "begin":
+			prep, err := r.prepares(jr.TxID, jr.Req, jr.Subs)
+			if err != nil {
+				return fmt.Errorf("shard: journal begins %s: %w", jr.TxID, err)
+			}
 			// Recovered transactions re-occupy admission slots best-effort:
 			// they must be driven to completion even when more were open at
 			// the crash than the (possibly reconfigured) bound now allows.
 			r.txs[jr.TxID] = &txState{
-				req: jr.Req, subs: jr.Subs,
+				req: jr.Req, subs: jr.Subs, prep: prep,
 				att:   make(map[int]int),
 				votes: make(map[int]bool), acked: make(map[int]bool),
 				admitted: r.q != nil && r.q.Admit(flow.ClassWrite) == nil,
@@ -289,7 +296,7 @@ func (r *Router) RecoveryDirectives() []msg.Directive {
 		if tx.decided {
 			outs = append(outs, r.sendDecisions(id, tx)...)
 		} else {
-			outs = append(outs, r.sendPrepares(id, tx)...)
+			outs = append(outs, r.sendPrepares(tx)...)
 		}
 		outs = append(outs, r.armRetry(id))
 	}
@@ -400,6 +407,10 @@ func (r *Router) onCrossShard(req core.TxRequest) []msg.Directive {
 		return r.redrive(id, tx)
 	}
 	subs, err := r.cfg.App.Split(req, r.cfg.Part)
+	var prep map[int][]byte
+	if err == nil {
+		prep, err = r.prepares(id, req, subs)
+	}
 	if err != nil {
 		return []msg.Directive{msg.Send(req.Client, msg.M(core.HdrTxResult, core.TxResult{
 			Client: req.Client, Seq: req.Seq, Aborted: true, Err: err.Error(),
@@ -430,7 +441,7 @@ func (r *Router) onCrossShard(req core.TxRequest) []msg.Directive {
 		}
 	}
 	tx := &txState{
-		req: req, subs: subs,
+		req: req, subs: subs, prep: prep,
 		att:   make(map[int]int),
 		votes: make(map[int]bool), acked: make(map[int]bool),
 		admitted: admitted,
@@ -441,24 +452,36 @@ func (r *Router) onCrossShard(req core.TxRequest) []msg.Directive {
 	// participants holding reservations.
 	r.journal(journalRec{Kind: "begin", TxID: id, Req: req, Subs: subs})
 	m2PCBegins.Inc()
-	outs := r.sendPrepares(id, tx)
+	outs := r.sendPrepares(tx)
 	return append(outs, r.armRetry(id))
+}
+
+// prepares encodes the Prepare of every participant shard.
+func (r *Router) prepares(id string, req core.TxRequest, subs map[int]SubTx) (map[int][]byte, error) {
+	parts := sortedShards(subs)
+	prep := make(map[int][]byte, len(parts))
+	for _, s := range parts {
+		b, err := EncodePrepare(Prepare{
+			TxID: id, Coord: r.cfg.Slf, Shard: s,
+			Participants: parts, Req: req, Sub: subs[s],
+		})
+		if err != nil {
+			return nil, err
+		}
+		prep[s] = b
+	}
+	return prep, nil
 }
 
 // sendPrepares broadcasts this transaction's prepare into every
 // participant shard that has not voted yet.
-func (r *Router) sendPrepares(id string, tx *txState) []msg.Directive {
-	parts := sortedShards(tx.subs)
+func (r *Router) sendPrepares(tx *txState) []msg.Directive {
 	var outs []msg.Directive
-	for _, s := range parts {
+	for _, s := range sortedShards(tx.subs) {
 		if _, voted := tx.votes[s]; voted {
 			continue
 		}
-		p := Prepare{
-			TxID: id, Coord: r.cfg.Slf, Shard: s,
-			Participants: parts, Req: tx.req, Sub: tx.subs[s],
-		}
-		outs = append(outs, r.order(s, tx, EncodePrepare(p)))
+		outs = append(outs, r.order(s, tx, tx.prep[s]))
 	}
 	return outs
 }
@@ -619,7 +642,7 @@ func (r *Router) redrive(id string, tx *txState) []msg.Directive {
 	if tx.decided {
 		return r.sendDecisions(id, tx)
 	}
-	return r.sendPrepares(id, tx)
+	return r.sendPrepares(tx)
 }
 
 // sortedKeys orders a txs map for deterministic iteration.

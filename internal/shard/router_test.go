@@ -291,6 +291,16 @@ func voteOf(t *testing.T, outs []msg.Directive) Vote {
 	return outs[0].M.Body.(Vote)
 }
 
+// mustPrepare encodes a Prepare payload, failing the test on error.
+func mustPrepare(t *testing.T, p Prepare) []byte {
+	t.Helper()
+	b, err := EncodePrepare(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestReplicaVotesAndReserves(t *testing.T) {
 	r := testReplica(t, 0)
 	prep := func(id string, amt int64) Prepare {
@@ -304,14 +314,14 @@ func TestReplicaVotesAndReserves(t *testing.T) {
 		}
 	}
 	// Account 1 holds 1000: a 600 reservation fits...
-	if v := voteOf(t, deliver(t, r, 0, EncodePrepare(prep("ta", 600)))); !v.OK {
+	if v := voteOf(t, deliver(t, r, 0, mustPrepare(t, prep("ta", 600)))); !v.OK {
 		t.Fatalf("vote on ta: %+v, want YES", v)
 	}
 	if r.HeldOn("1") != 600 {
 		t.Fatalf("held = %d, want 600", r.HeldOn("1"))
 	}
 	// ...but a second 600 against the same key must count the hold: NO.
-	if v := voteOf(t, deliver(t, r, 1, EncodePrepare(prep("tb", 600)))); v.OK {
+	if v := voteOf(t, deliver(t, r, 1, mustPrepare(t, prep("tb", 600)))); v.OK {
 		t.Fatalf("vote on tb ignored the reservation ledger")
 	}
 	// Prepared state is invisible: the database still shows 1000.
@@ -319,7 +329,7 @@ func TestReplicaVotesAndReserves(t *testing.T) {
 		t.Fatalf("prepared-but-undecided state leaked into the database: balance %d", b)
 	}
 	// A retransmitted prepare re-votes without double-reserving.
-	if v := voteOf(t, deliver(t, r, 2, EncodePrepare(prep("ta", 600)))); !v.OK {
+	if v := voteOf(t, deliver(t, r, 2, mustPrepare(t, prep("ta", 600)))); !v.OK {
 		t.Fatalf("re-vote on ta: %+v", v)
 	}
 	if r.HeldOn("1") != 600 {
@@ -380,7 +390,7 @@ func TestReplicaInterleavesPlainAndTwoPC(t *testing.T) {
 	}
 	// One delivered batch: plain deposit, then the prepare. The prepare
 	// must observe the deposit (its slice of the order precedes it).
-	outs := deliver(t, r, 0, dep, EncodePrepare(p))
+	outs := deliver(t, r, 0, dep, mustPrepare(t, p))
 	var vote *Vote
 	var reply *core.TxResult
 	for _, d := range outs {

@@ -1,13 +1,13 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"sync"
 
 	"shadowdb/internal/core"
 	"shadowdb/internal/msg"
+	"shadowdb/internal/wire"
 )
 
 // The 2PC vocabulary. Prepare and Decision travel as broadcast payloads
@@ -97,8 +97,8 @@ func RegisterWireTypes() {
 }
 
 // gobArgs registers the basic types that travel inside SubTx.ApplyArgs
-// and TxRequest.Args (interface-typed fields need explicit registration;
-// mirrors core's EncodeTx registration).
+// and TxRequest.Args in the router journal (interface-typed fields need
+// explicit registration; mirrors core's registration).
 var gobArgs = sync.OnceFunc(func() {
 	gob.Register(int64(0))
 	gob.Register(float64(0))
@@ -114,16 +114,35 @@ const (
 	decMark  = "2pd|"
 )
 
-// EncodePrepare serializes a Prepare for use as a broadcast payload.
-func EncodePrepare(p Prepare) []byte {
-	gobArgs()
-	var buf bytes.Buffer
-	buf.WriteString(prepMark)
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		// All fields are gob-encodable once gobArgs ran; this cannot fail.
-		panic(fmt.Sprintf("shard: encode prepare: %v", err))
+// EncodePrepare serializes a Prepare for use as a broadcast payload:
+// the "2pp|" tag and wire format byte, then TxID, Coord, Shard,
+// Participants, the request (as core.EncodeTx bytes), the Reserve map
+// in key order, Apply and ApplyArgs (see package wire). An argument of
+// a type the codec cannot carry is an error.
+func EncodePrepare(p Prepare) ([]byte, error) {
+	req, err := core.EncodeTx(p.Req)
+	if err != nil {
+		return nil, fmt.Errorf("shard: encode prepare: %w", err)
 	}
-	return buf.Bytes()
+	b := wire.Begin(make([]byte, 0, 64+len(p.TxID)+len(p.Coord)+len(req)), prepMark)
+	b = wire.AppendString(b, p.TxID)
+	b = wire.AppendString(b, string(p.Coord))
+	b = wire.AppendInt(b, int64(p.Shard))
+	b = wire.AppendUint(b, uint64(len(p.Participants)))
+	for _, s := range p.Participants {
+		b = wire.AppendInt(b, int64(s))
+	}
+	b = wire.AppendBytes(b, req)
+	keys := sortedReserveKeys(p.Sub.Reserve)
+	b = wire.AppendUint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = wire.AppendInt(wire.AppendString(b, k), p.Sub.Reserve[k])
+	}
+	b = wire.AppendString(b, p.Sub.Apply)
+	if b, err = wire.AppendArgs(b, p.Sub.ApplyArgs); err != nil {
+		return nil, fmt.Errorf("shard: encode prepare: %w", err)
+	}
+	return b, nil
 }
 
 // DecodePrepare recognizes a Prepare payload. Like broadcast.DecodeBatch
@@ -133,26 +152,45 @@ func DecodePrepare(b []byte) (p Prepare, ok bool) {
 	if len(b) < len(prepMark) || string(b[:len(prepMark)]) != prepMark {
 		return Prepare{}, false
 	}
-	gobArgs()
-	defer func() {
-		if recover() != nil {
-			p, ok = Prepare{}, false
+	r := wire.NewReader(string(b), prepMark)
+	p = Prepare{TxID: r.String(), Coord: msg.Loc(r.String()), Shard: int(r.Int())}
+	if n := r.Count(1); n > 0 {
+		p.Participants = make([]int, n)
+		for i := range p.Participants {
+			p.Participants[i] = int(r.Int())
 		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(b[len(prepMark):])).Decode(&p); err != nil {
+	}
+	req, err := core.DecodeTx(r.Bytes())
+	p.Req = req
+	// Keys must arrive strictly ascending, as EncodePrepare writes them:
+	// any other order would not re-encode to the same bytes.
+	sorted := true
+	if n := r.Count(2); n > 0 {
+		p.Sub.Reserve = make(map[string]int64, n)
+		prev := ""
+		for i := 0; i < n; i++ {
+			k := r.String()
+			sorted = sorted && (i == 0 || k > prev)
+			p.Sub.Reserve[k], prev = r.Int(), k
+		}
+	}
+	p.Sub.Apply = r.String()
+	p.Sub.ApplyArgs = r.Args()
+	if err != nil || !sorted || r.Done() != nil {
 		return Prepare{}, false
 	}
 	return p, true
 }
 
-// EncodeDecision serializes a Decision for use as a broadcast payload.
+// EncodeDecision serializes a Decision for use as a broadcast payload:
+// the "2pd|" tag and wire format byte, then TxID, Shard, Coord and
+// Commit.
 func EncodeDecision(d Decision) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(decMark)
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		panic(fmt.Sprintf("shard: encode decision: %v", err))
-	}
-	return buf.Bytes()
+	b := wire.Begin(make([]byte, 0, 24+len(d.TxID)+len(d.Coord)), decMark)
+	b = wire.AppendString(b, d.TxID)
+	b = wire.AppendInt(b, int64(d.Shard))
+	b = wire.AppendString(b, string(d.Coord))
+	return wire.AppendBool(b, d.Commit)
 }
 
 // DecodeDecision recognizes a Decision payload (total, like DecodePrepare).
@@ -160,12 +198,9 @@ func DecodeDecision(b []byte) (d Decision, ok bool) {
 	if len(b) < len(decMark) || string(b[:len(decMark)]) != decMark {
 		return Decision{}, false
 	}
-	defer func() {
-		if recover() != nil {
-			d, ok = Decision{}, false
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(b[len(decMark):])).Decode(&d); err != nil {
+	r := wire.NewReader(string(b), decMark)
+	d = Decision{TxID: r.String(), Shard: int(r.Int()), Coord: msg.Loc(r.String()), Commit: r.Bool()}
+	if r.Done() != nil {
 		return Decision{}, false
 	}
 	return d, true
