@@ -324,15 +324,14 @@ func (e *Executor) appendLog(r Repl) {
 	}
 	e.log = append(e.log, r)
 	if len(e.log) > e.cacheSize() {
-		// Shift in place instead of reallocating: once the cache is full
-		// this runs on every append, and the old copy-to-fresh-slice made
-		// it a full-length allocation per transaction.
+		// Re-slice past the dropped entries instead of shifting the
+		// window down: once the cache is full this runs on every append,
+		// and a shift copies the whole cache each time. append
+		// reallocates when the backing array runs out, so the cost per
+		// append is amortized O(1).
 		drop := len(e.log) - e.cacheSize()
-		n := copy(e.log, e.log[drop:])
-		for i := n; i < len(e.log); i++ {
-			e.log[i] = Repl{} // release references held past the cache
-		}
-		e.log = e.log[:n]
+		clear(e.log[:drop]) // release references held past the cache
+		e.log = e.log[drop:]
 		e.logStart += int64(drop)
 	}
 }

@@ -124,6 +124,38 @@ func TestExecutorLogCache(t *testing.T) {
 	}
 }
 
+// TestExecutorLogWindow appends well past twice the cache size and
+// checks, after every append, that LogFrom serves exactly the last
+// CacheSize orders and refuses anything older.
+func TestExecutorLogWindow(t *testing.T) {
+	e := bankExec(t, 1)
+	const size = 16
+	e.CacheSize = size
+	for i := int64(1); i <= 2*size+size/2+1; i++ {
+		e.appendLog(Repl{Order: i, Req: depositReq("c", i, 0, 1)})
+		e.Executed = i
+		lo := max(1, i-size+1)
+		txs, ok := e.LogFrom(lo - 1)
+		if !ok || int64(len(txs)) != i-lo+1 {
+			t.Fatalf("after %d: LogFrom(%d) = %d entries, %v; want %d", i, lo-1, len(txs), ok, i-lo+1)
+		}
+		for j, r := range txs {
+			if r.Order != lo+int64(j) || r.Req.Seq != r.Order {
+				t.Fatalf("after %d: entry %d is order %d (seq %d), want %d", i, j, r.Order, r.Req.Seq, lo+int64(j))
+			}
+		}
+		if _, ok := e.LogFrom(lo - 2); ok && lo > 1 {
+			t.Fatalf("after %d: LogFrom(%d) reaches past the window start %d", i, lo-2, lo)
+		}
+		if txs, ok := e.LogFrom(i); !ok || len(txs) != 0 {
+			t.Fatalf("after %d: LogFrom(%d) = %v, %v", i, i, txs, ok)
+		}
+		if _, err := e.FullLog(); (err == nil) != (lo == 1) {
+			t.Fatalf("after %d: FullLog err = %v with window start %d", i, err, lo)
+		}
+	}
+}
+
 func TestExecutorInstallSnapshot(t *testing.T) {
 	e := bankExec(t, 3)
 	if _, err := e.Apply(1, depositReq("c", 1, 0, 5)); err != nil {
