@@ -70,6 +70,42 @@ func TestHubDropsUnknownDestination(t *testing.T) {
 	}
 }
 
+// A receiver that falls behind by more than its channel holds must get
+// every message, in order: an in-process replica that lost a Deliver
+// under load would silently skip a slot. Two senders interleave with
+// the reader so the fast path, the queue and the drain all race.
+func TestHubSlowReceiverLosesNothing(t *testing.T) {
+	h := NewHub()
+	defer func() { _ = h.Close() }()
+	b, _ := h.Register("b")
+	const n = 3 * hubInboxCap
+	done := make(chan struct{})
+	for _, from := range []msg.Loc{"a1", "a2"} {
+		a, _ := h.Register(from)
+		go func() {
+			for i := 0; i < n; i++ {
+				if err := a.Send(msg.Envelope{To: "b", M: msg.M("seq", i)}); err != nil {
+					t.Error(err)
+				}
+			}
+			done <- struct{}{}
+		}()
+	}
+	<-done // the reader starts once one sender has overrun the channel
+	next := map[msg.Loc]int{}
+	for got := 0; got < 2*n; got++ {
+		env := recvOne(t, b)
+		if i := env.M.Body.(int); i != next[env.From] {
+			t.Fatalf("from %s: got message %d, want %d", env.From, i, next[env.From])
+		}
+		next[env.From]++
+	}
+	<-done
+	if d := h.Dropped.Load(); d != 0 {
+		t.Errorf("Dropped = %d", d)
+	}
+}
+
 func TestHubCloseUnblocksReceivers(t *testing.T) {
 	h := NewHub()
 	a, _ := h.Register("a")

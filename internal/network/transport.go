@@ -47,20 +47,96 @@ var ErrClosed = errors.New("network: transport closed")
 
 // Hub is an in-process network: every location registers and gets a
 // Transport whose sends are routed through Go channels. Useful for tests,
-// examples, and single-process deployments.
+// examples, and single-process deployments. Links are reliable and FIFO
+// (see mailbox): like the TCP transport, which applies backpressure
+// rather than dropping, a slow receiver delays its messages but never
+// loses them.
 type Hub struct {
 	mu     sync.Mutex
-	inbox  map[msg.Loc]chan msg.Envelope
+	inbox  map[msg.Loc]*mailbox
 	closed bool
-	// Dropped counts messages to unknown or overloaded destinations.
-	// Atomic: benchmark drivers read it while sender goroutines run.
+	// Dropped counts messages to unknown destinations. Atomic: benchmark
+	// drivers read it while sender goroutines run.
 	Dropped atomic.Int64
 	drops   *obs.Counter
 }
 
+// hubInboxCap is the receive channel's capacity; sends beyond it queue
+// in the mailbox.
+const hubInboxCap = 1024
+
+// mailbox is one location's inbox. A send goes straight into the
+// receive channel while the channel has room and nothing is queued;
+// otherwise it joins an unbounded queue that a drain goroutine, running
+// only while the queue is non-empty, feeds into the channel in order.
+// Senders therefore never block (a cycle of full inboxes cannot
+// deadlock) and never drop. All puts and close run under Hub.mu.
+type mailbox struct {
+	ch   chan msg.Envelope
+	mu   sync.Mutex // guards q
+	q    []msg.Envelope
+	stop chan struct{}
+	wg   sync.WaitGroup
+}
+
+func newMailbox() *mailbox {
+	return &mailbox{ch: make(chan msg.Envelope, hubInboxCap), stop: make(chan struct{})}
+}
+
+func (m *mailbox) put(env msg.Envelope) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.q) == 0 {
+		select {
+		case m.ch <- env:
+			return
+		default:
+		}
+	}
+	m.q = append(m.q, env)
+	if len(m.q) == 1 {
+		m.wg.Add(1)
+		go m.drain()
+	}
+}
+
+// drain feeds the queue into the channel and exits once it is empty.
+// The head stays queued until it is in the channel, so a put that
+// finds the queue empty cannot overtake it.
+func (m *mailbox) drain() {
+	defer m.wg.Done()
+	for {
+		m.mu.Lock()
+		if len(m.q) == 0 {
+			m.q = nil
+			m.mu.Unlock()
+			return
+		}
+		env := m.q[0]
+		m.mu.Unlock()
+		select {
+		case m.ch <- env:
+		case <-m.stop:
+			return
+		}
+		m.mu.Lock()
+		m.q[0] = msg.Envelope{}
+		m.q = m.q[1:]
+		m.mu.Unlock()
+	}
+}
+
+// close discards anything still queued, waits for the drain goroutine
+// and closes the receive channel.
+func (m *mailbox) close() {
+	close(m.stop)
+	m.wg.Wait()
+	close(m.ch)
+}
+
 // NewHub creates an empty hub.
 func NewHub() *Hub {
-	return &Hub{inbox: make(map[msg.Loc]chan msg.Envelope), drops: obs.C("net.hub_drops")}
+	return &Hub{inbox: make(map[msg.Loc]*mailbox), drops: obs.C("net.hub_drops")}
 }
 
 // Register joins a location to the hub.
@@ -73,9 +149,9 @@ func (h *Hub) Register(l msg.Loc) (Transport, error) {
 	if _, dup := h.inbox[l]; dup {
 		return nil, fmt.Errorf("network: location %q already registered", l)
 	}
-	ch := make(chan msg.Envelope, 1024)
-	h.inbox[l] = ch
-	return &hubTransport{hub: h, self: l, ch: ch}, nil
+	box := newMailbox()
+	h.inbox[l] = box
+	return &hubTransport{hub: h, self: l, ch: box.ch}, nil
 }
 
 // Close shuts the hub and every registered transport.
@@ -86,8 +162,8 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	h.closed = true
-	for _, ch := range h.inbox {
-		close(ch)
+	for _, box := range h.inbox {
+		box.close()
 	}
 	return nil
 }
@@ -98,19 +174,13 @@ func (h *Hub) send(env msg.Envelope) error {
 	if h.closed {
 		return ErrClosed
 	}
-	ch, ok := h.inbox[env.To]
+	box, ok := h.inbox[env.To]
 	if !ok {
 		h.Dropped.Add(1)
 		h.drops.Inc()
 		return nil // unknown destination: dropped, as on a real network
 	}
-	select {
-	case ch <- env:
-	default:
-		// Receiver overloaded: drop rather than deadlock.
-		h.Dropped.Add(1)
-		h.drops.Inc()
-	}
+	box.put(env)
 	return nil
 }
 
@@ -139,9 +209,9 @@ func (t *hubTransport) Close() error {
 		t.dead.Store(true)
 		t.hub.mu.Lock()
 		defer t.hub.mu.Unlock()
-		if ch, ok := t.hub.inbox[t.self]; ok {
+		if box, ok := t.hub.inbox[t.self]; ok {
 			delete(t.hub.inbox, t.self)
-			close(ch)
+			box.close()
 		}
 	})
 	return nil

@@ -100,14 +100,23 @@ func TestRouterForwardsSingleShard(t *testing.T) {
 
 func TestRouterRejectsMalformed(t *testing.T) {
 	r := testRouter(t)
-	req := core.TxRequest{Client: "c1", Seq: 1, Type: "mystery"}
-	outs := step(t, r, core.HdrTx, req)
-	if len(outs) != 1 || outs[0].Dest != "c1" {
-		t.Fatalf("malformed request not answered directly: %v", outs)
+	for _, req := range []core.TxRequest{
+		{Client: "c1", Seq: 1, Type: "mystery"},
+		// Splits fine, but an int32 argument has no payload encoding: the
+		// prepares cannot be built, so nothing may begin.
+		{Client: "c1", Seq: 2, Type: "transfer", Args: []any{0, 1, 50, int32(1)}},
+	} {
+		outs := step(t, r, core.HdrTx, req)
+		if len(outs) != 1 || outs[0].Dest != "c1" {
+			t.Fatalf("malformed request %d not answered directly: %v", req.Seq, outs)
+		}
+		res := outs[0].M.Body.(core.TxResult)
+		if !res.Aborted || res.Err == "" {
+			t.Fatalf("malformed request %d not aborted: %+v", req.Seq, res)
+		}
 	}
-	res := outs[0].M.Body.(core.TxResult)
-	if !res.Aborted || res.Err == "" {
-		t.Fatalf("malformed request not aborted: %+v", res)
+	if r.InFlight() != 0 {
+		t.Fatalf("malformed requests left %d transactions in flight", r.InFlight())
 	}
 }
 
