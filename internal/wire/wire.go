@@ -114,14 +114,16 @@ type Reader struct {
 	err error
 }
 
-// NewReader starts reading a payload: it strips tag, which the caller
-// has already matched, and checks the format byte. Strings read later
-// share memory with s; byte slices are copies.
+// NewReader starts reading a payload: it checks that s starts with tag
+// and then the format byte. Strings read later share memory with s;
+// byte slices are copies.
 func NewReader(s, tag string) Reader {
 	r := Reader{s: s, off: len(tag)}
 	switch {
-	case len(s) <= len(tag) || s[:len(tag)] != tag:
+	case len(s) < len(tag) || s[:len(tag)] != tag:
 		r.fail("payload does not start with %q", tag)
+	case len(s) == len(tag):
+		r.fail("missing format byte")
 	case s[len(tag)] != Version:
 		r.err = fmt.Errorf("%w: format byte 0x%02x, want 0x%02x", ErrFormat, s[len(tag)], Version)
 	default:
@@ -175,12 +177,12 @@ func (r *Reader) Int() int64 {
 	return x
 }
 
-// Count reads an element count. Each element takes at least min bytes,
-// so a count the remaining input cannot hold is refused before the
-// caller allocates for it.
-func (r *Reader) Count(min int) int {
+// Count reads an element count. Each element takes at least minSize
+// bytes, so a count the remaining input cannot hold is refused before
+// the caller allocates for it.
+func (r *Reader) Count(minSize int) int {
 	n := r.Uint()
-	if n > uint64((len(r.s)-r.off)/min) {
+	if n > uint64((len(r.s)-r.off)/minSize) {
 		r.fail("count %d exceeds the input left", n)
 		return 0
 	}
